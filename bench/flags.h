@@ -1,45 +1,27 @@
-// Shared CLI parsing for the bench drivers.
+// CLI parsing for bench/suite.
 //
-//   --json       machine-readable output (where the driver supports it)
+//   --json       one machine-readable JSON report
 //   --time       print harness wall-clock
 //   --scale N    workload size multiplier (also accepts "small" == 1)
 //   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
 //                concurrency, 1 = strictly serial (bit-identical tables
 //                either way — only wall-clock changes)
-//   --opt N      post-instrumentation optimization level (default 0; every
-//                historical table is recorded at O0). Most drivers measure
-//                at the given level; the suite instead keeps its standard
-//                tables at O0 and adds the ablation_opt O0-vs-O1 table.
+//   --opt N      post-instrumentation optimization level (default 0). The
+//                standard tables always run at O0; N >= 1 adds the
+//                ablation_opt O0-vs-ON table and the optimizer's
+//                instrumentation counts.
 //   --engine E   VM execution tier: fused (default), decoded, reference.
 //                Simulated counters — and therefore every table — are
 //                bit-identical across tiers; only wall-clock changes.
-//   --shards N   safe-pointer-store shard count (default 1 — the legacy
-//                shared store every historical table is recorded at).
-//                Behaviour is shard-count-invariant; cycles model per-shard
-//                contention (see bench/ablation_shards).
-//   --migrate    epoch-based shard-ownership migration (default off — the
-//                static owner table every historical table is recorded
-//                under). Only meaningful with --shards > 1: ownership then
-//                republishes at spawn/join boundaries and readers take the
-//                RCU-style epoch path (see bench/ablation_churn).
-//   --scheme S   a registered scheme name ("cpi") or a composite spec
-//                ("ptrenc+safestack") resolved through
-//                core::SchemeRegistry::FindOrRegisterComposite. Unknown
-//                components and write-conflicting stacks fail with usage +
-//                exit 2, like any other bad argument. Drivers that sweep the
-//                registry ignore it; drivers that evaluate one configuration
-//                (e.g. bench/ripe_effectiveness) consume Flags::scheme.
 #ifndef CPI_BENCH_FLAGS_H_
 #define CPI_BENCH_FLAGS_H_
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
-#include "src/core/levee.h"
-#include "src/core/scheme.h"
 #include "src/support/pool.h"
+#include "src/vm/machine.h"
 
 namespace cpi::bench {
 
@@ -50,31 +32,12 @@ struct Flags {
   int jobs = 0;  // resolved to ThreadPool::DefaultJobs() by Parse
   int opt = 0;   // core::Config::opt_level for the measured cells
   vm::EngineKind engine = vm::EngineKind::kFused;  // core::Config::engine
-  uint32_t shards = 1;   // core::Config::shards for the measured cells
-  bool migrate = false;  // core::Config::migrate for the measured cells
-  // Resolved --scheme selection (nullptr: not given). Deliberately NOT
-  // applied by BaseConfig: Config::scheme overrides Config::protection, so
-  // auto-applying it would silently pin every cell of a registry-sweeping
-  // driver to one scheme. Drivers opt in where a single-scheme evaluation
-  // makes sense.
-  const core::ProtectionScheme* scheme = nullptr;
 };
-
-// The Config every measured cell starts from under these flags.
-inline core::Config BaseConfig(const Flags& flags) {
-  core::Config config;
-  config.opt_level = flags.opt;
-  config.engine = flags.engine;
-  config.shards = flags.shards;
-  config.migrate = flags.migrate;
-  return config;
-}
 
 inline void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--json] [--time] [--scale N|small] [--jobs N] [--opt N] "
-               "[--engine fused|decoded|reference] [--shards N] [--migrate] "
-               "[--scheme NAME[+NAME...]]\n",
+               "[--engine fused|decoded|reference]\n",
                argv0);
 }
 
@@ -103,25 +66,6 @@ inline Flags Parse(int argc, char** argv) {
         std::fprintf(stderr, "invalid --opt; using 0\n");
         flags.opt = 0;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "invalid --shards; using 1\n");
-        flags.shards = 1;
-      } else {
-        flags.shards = static_cast<uint32_t>(n);
-      }
-    } else if (std::strcmp(argv[i], "--migrate") == 0) {
-      flags.migrate = true;
-    } else if (std::strcmp(argv[i], "--scheme") == 0 && i + 1 < argc) {
-      ++i;
-      std::string error;
-      flags.scheme = core::SchemeRegistry::FindOrRegisterComposite(argv[i], &error);
-      if (flags.scheme == nullptr) {
-        std::fprintf(stderr, "bad --scheme: %s\n", error.c_str());
-        PrintUsage(argv[0]);
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
       ++i;
       if (std::strcmp(argv[i], "fused") == 0) {
@@ -146,14 +90,6 @@ inline Flags Parse(int argc, char** argv) {
   }
   if (flags.jobs == 0) {
     flags.jobs = ThreadPool::DefaultJobs();
-  }
-  if (flags.migrate && flags.shards == 1) {
-    // Ownership of a single shard can never migrate: the flag combination is
-    // legal (runs are byte-identical to plain --shards 1) but almost
-    // certainly not what the user meant.
-    std::fprintf(stderr,
-                 "warning: --migrate with --shards 1 is a no-op (nothing to migrate); "
-                 "pass --shards N>1 to enable epoch ownership\n");
   }
   return flags;
 }

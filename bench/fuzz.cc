@@ -11,7 +11,7 @@
 // exact repro command.
 //
 // This driver parses its own flags (the campaign surface is disjoint from
-// the measurement drivers' bench/flags.h).
+// the suite's bench/flags.h).
 //
 //   --cases N        programs to generate (default 100)
 //   --seed S         base seed; case i uses seed S+i (default 1)

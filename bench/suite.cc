@@ -10,16 +10,18 @@
 //   suite --time          append wall-clock summary to the human report
 //   suite --opt N         additionally emit the ablation_opt table (per-
 //                         scheme overhead with the post-instrumentation
-//                         optimizer off/on). The standard tables always run
-//                         at O0 and stay byte-identical at any --opt value.
+//                         optimizer off/on) and the optimizer's CPI
+//                         instrumentation counts. The standard tables always
+//                         run at O0 and stay byte-identical at any --opt.
+//   suite --engine E      VM execution tier (fused, decoded, reference)
 //
-// Table values are bit-identical to the individual bench binaries at any
-// --jobs value (the cost model is simulated; the pool only changes
+// Table values are bit-identical at any --jobs value and under any engine
+// (the cost model is simulated; the pool and the tier only change
 // wall-clock). The JSON layout keeps everything that varies between runs
-// (wall_ms, jobs, host concurrency) outside "tables", so
-// `jq .tables` output is byte-stable and CI diffs it against the committed
-// BENCH_pr4.json baseline (recorded at --opt 1; dropping its ablation_opt
-// table recovers the BENCH_pr3.json O0 payload byte for byte).
+// (wall_ms, jobs, host concurrency, fusion stats) and the diagnostic
+// listings (cfi_hijacks, opt_instrumentation) outside "tables", so
+// `jq .tables` output is byte-stable; tests/frozen_tables.py diffs the
+// --opt 1 payload against the committed BENCH_pr10.json baseline.
 //
 // docs/PAPER_MAP.md maps each table emitted here back to the paper.
 #include <algorithm>
@@ -31,7 +33,9 @@
 
 #include "bench/flags.h"
 #include "src/attacks/ripe.h"
+#include "src/core/levee.h"
 #include "src/core/scheme.h"
+#include "src/ir/clone.h"
 #include "src/support/stats.h"
 #include "src/support/table.h"
 #include "src/vm/decode.h"
@@ -143,8 +147,16 @@ struct AblationChurn {
   std::vector<std::vector<uint64_t>> migrations;
 };
 
+uint64_t EliminatedSafeStoreOps(const cpi::opt::OptReport& report) {
+  uint64_t n = 0;
+  for (const cpi::opt::PassStats& ps : report.passes) {
+    n += ps.eliminated_safe_store_ops;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
-// JSON emission. Percents use %.3f like the standalone binaries.
+// JSON emission. Percents use %.3f throughout.
 
 void JsonOverheadMap(const Measurement& m, const std::vector<Protection>& columns) {
   std::printf("\"overhead_pct\":{");
@@ -262,8 +274,7 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------------
   // Table 2: static compilation statistics from the vanilla-cell stats of
-  // the shared sweep (the classification defaults match the standalone
-  // bench).
+  // the shared sweep (default classification options).
   table_wall_ms["table2_compile_stats"] = 0;  // amortised into the SPEC sweep
 
   // -------------------------------------------------------------------------
@@ -578,9 +589,11 @@ int main(int argc, char** argv) {
   // One row per registry RipeRow scheme; `attacks` reports the matrix size
   // (the per-scheme result count — identical across schemes, since every
   // scheme runs the same spec list).
+  // `cfi_hijacks`, when given, collects the names of the attacks that still
+  // hijack under CFI (the [19,15,9]-style bypasses).
   const auto run_ripe_table = [&flags](
       std::vector<cpi::attacks::AttackResult> (*run)(const Config&, int),
-      std::vector<RipeRow>* rows, int* attacks) {
+      std::vector<RipeRow>* rows, int* attacks, std::vector<std::string>* cfi_hijacks) {
     for (const ProtectionScheme* s : cpi::core::SchemeRegistry::RipeRows()) {
       Config config;
       config.protection = s->id();
@@ -591,6 +604,9 @@ int main(int argc, char** argv) {
       for (const auto& r : run(config, flags.jobs)) {
         ++row.counts[static_cast<int>(r.outcome)];
         ++*attacks;
+        if (cfi_hijacks != nullptr && s->id() == Protection::kCfi && r.Hijacked()) {
+          cfi_hijacks->push_back(r.spec.Name());
+        }
       }
       rows->push_back(row);
     }
@@ -599,7 +615,8 @@ int main(int argc, char** argv) {
   Stopwatch ripe_watch;
   std::vector<RipeRow> ripe_rows;
   int ripe_attacks = 0;
-  run_ripe_table(&cpi::attacks::RunAttackMatrix, &ripe_rows, &ripe_attacks);
+  std::vector<std::string> cfi_hijacks;
+  run_ripe_table(&cpi::attacks::RunAttackMatrix, &ripe_rows, &ripe_attacks, &cfi_hijacks);
   table_wall_ms["ripe_effectiveness"] = ripe_watch.Ms();
 
   // Cross-thread rows: thread A corrupting thread B's saved return address
@@ -609,7 +626,7 @@ int main(int argc, char** argv) {
   std::vector<RipeRow> ripe_concurrent_rows;
   int ripe_concurrent_attacks = 0;
   run_ripe_table(&cpi::attacks::RunCrossThreadMatrix, &ripe_concurrent_rows,
-                 &ripe_concurrent_attacks);
+                 &ripe_concurrent_attacks, /*cfi_hijacks=*/nullptr);
   table_wall_ms["ripe_concurrent"] = ripec_watch.Ms();
 
   Stopwatch fig5_watch;
@@ -698,7 +715,7 @@ int main(int argc, char** argv) {
   // composite has no Protection id of its own; overheads reuse the shared
   // SPEC sweep's vanilla baselines, and both attack matrices run per row. A
   // separate table so every frozen single-scheme table stays byte-identical
-  // (CI recovers the previous payload via del(.table_composites)).
+  // (deleting it recovers the BENCH_pr9.json payload).
   Stopwatch comp_watch;
   const auto composite_schemes = cpi::core::SchemeRegistry::CompositeTableRows();
   std::vector<MeasureCell> comp_cells;
@@ -756,10 +773,35 @@ int main(int argc, char** argv) {
   // always run at O0 — they are the paper baselines and stay byte-identical
   // at any --opt value; this table adds the O1 cells (overheads at each
   // level are computed against the same-level vanilla baseline). The O0
-  // column is reused from the shared SPEC sweep.
+  // column is reused from the shared SPEC sweep. Alongside it, the static
+  // CPI instrumentation counts before/after the optimizer, per workload and
+  // (aggregated over the SPEC set) per pass.
   AblationOpt opt_ablation;
+  std::vector<cpi::core::CompileOutput> opt_counts(spec.size());
+  std::map<std::string, cpi::opt::PassStats> opt_per_pass;
   if (flags.opt >= 1) {
     Stopwatch opt_watch;
+    cpi::ThreadPool pool(flags.jobs);
+    pool.ParallelFor(spec.size(), [&](size_t wi) {
+      Config config;
+      config.protection = Protection::kCpi;
+      config.opt_level = flags.opt;
+      auto clone = cpi::ir::CloneModule(*spec_views[wi]);
+      opt_counts[wi] = cpi::core::Compiler(config).Instrument(*clone);
+    });
+    for (const cpi::core::CompileOutput& co : opt_counts) {
+      for (const cpi::opt::PassStats& ps : co.opt.passes) {
+        cpi::opt::PassStats& agg = opt_per_pass[ps.pass];
+        agg.pass = ps.pass;
+        agg.removed_instructions += ps.removed_instructions;
+        agg.eliminated_checks += ps.eliminated_checks;
+        agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
+        agg.eliminated_seal_ops += ps.eliminated_seal_ops;
+        agg.forwarded_loads += ps.forwarded_loads;
+        agg.leaf_ret_elisions += ps.leaf_ret_elisions;
+      }
+    }
+
     std::vector<MeasureCell> opt_cells;
     const size_t opt_stride = 1 + overhead_protections.size();
     opt_cells.reserve(spec.size() * opt_stride);
@@ -1130,7 +1172,46 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(ps.weight),
                   static_cast<unsigned long long>(ps.hits));
     }
-    std::printf("]}}\n");
+    std::printf("]}");
+
+    // Diagnostic listings, also outside .tables: the attacks behind the cfi
+    // RIPE row's hijack count, and (--opt >= 1) the optimizer's static work.
+    std::printf(",\"cfi_hijacks\":[");
+    for (size_t i = 0; i < cfi_hijacks.size(); ++i) {
+      std::printf("%s\"%s\"", i == 0 ? "" : ",", cfi_hijacks[i].c_str());
+    }
+    std::printf("]");
+    if (flags.opt >= 1) {
+      std::printf(",\"opt_instrumentation\":{\"opt_level\":%d,\"rows\":[", flags.opt);
+      for (size_t wi = 0; wi < opt_counts.size(); ++wi) {
+        const cpi::core::CompileOutput& co = opt_counts[wi];
+        std::printf("%s{\"workload\":\"%s\",\"vanilla\":%zu,\"instrumented\":%zu,"
+                    "\"optimized\":%zu,\"removed\":%llu,\"checks_elim\":%llu,"
+                    "\"store_ops_elim\":%llu}",
+                    wi == 0 ? "" : ",", spec[wi].name.c_str(), co.instructions_before,
+                    co.instructions_after, co.instructions_after_opt,
+                    static_cast<unsigned long long>(co.opt.TotalRemoved()),
+                    static_cast<unsigned long long>(co.opt.TotalEliminatedChecks()),
+                    static_cast<unsigned long long>(EliminatedSafeStoreOps(co.opt)));
+      }
+      std::printf("],\"passes\":[");
+      bool first = true;
+      for (const auto& [name, ps] : opt_per_pass) {
+        std::printf("%s{\"pass\":\"%s\",\"removed\":%llu,\"checks_elim\":%llu,"
+                    "\"store_ops_elim\":%llu,\"seal_ops_elim\":%llu,"
+                    "\"forwarded_loads\":%llu,\"leaf_ret_elisions\":%llu}",
+                    first ? "" : ",", name.c_str(),
+                    static_cast<unsigned long long>(ps.removed_instructions),
+                    static_cast<unsigned long long>(ps.eliminated_checks),
+                    static_cast<unsigned long long>(ps.eliminated_safe_store_ops),
+                    static_cast<unsigned long long>(ps.eliminated_seal_ops),
+                    static_cast<unsigned long long>(ps.forwarded_loads),
+                    static_cast<unsigned long long>(ps.leaf_ret_elisions));
+        first = false;
+      }
+      std::printf("]}");
+    }
+    std::printf("}\n");
     return exit_code;
   }
 
@@ -1155,7 +1236,7 @@ int main(int argc, char** argv) {
       t.AddRow(row);
     }
     t.AddSeparator();
-    // The paper's headline summary rows, matching the standalone binary.
+    // The paper's headline summary rows.
     const struct {
       const char* label;
       const char* language;  // "" = all
@@ -1338,6 +1419,10 @@ int main(int argc, char** argv) {
                 std::to_string(r.counts[3])});
     }
     t.Print();
+    std::printf("\nDetailed CFI bypasses (the [19,15,9]-style attacks):\n");
+    for (const std::string& name : cfi_hijacks) {
+      std::printf("  HIJACKED under CFI: %s\n", name.c_str());
+    }
     std::printf("\n");
   }
 
@@ -1403,6 +1488,35 @@ int main(int argc, char** argv) {
     }
     t.AddRow(avg);
     t.Print();
+
+    std::printf("\nCPI instrumentation counts at --opt %d "
+                "(instructions: vanilla / instrumented / optimized)\n\n",
+                flags.opt);
+    Table counts_table({"Benchmark", "Vanilla", "Instrumented", "Optimized", "Removed",
+                        "ChecksElim", "StoreOpsElim"});
+    for (size_t wi = 0; wi < opt_counts.size(); ++wi) {
+      const cpi::core::CompileOutput& co = opt_counts[wi];
+      counts_table.AddRow({spec[wi].name, std::to_string(co.instructions_before),
+                           std::to_string(co.instructions_after),
+                           std::to_string(co.instructions_after_opt),
+                           std::to_string(co.opt.TotalRemoved()),
+                           std::to_string(co.opt.TotalEliminatedChecks()),
+                           std::to_string(EliminatedSafeStoreOps(co.opt))});
+    }
+    counts_table.Print();
+
+    std::printf("\nPer-pass statistics (aggregated over the SPEC set):\n\n");
+    Table pass_table({"Pass", "Removed", "ChecksElim", "StoreOpsElim", "SealOpsElim",
+                      "ForwardedLoads", "LeafRetElisions"});
+    for (const auto& [name, ps] : opt_per_pass) {
+      pass_table.AddRow({name, std::to_string(ps.removed_instructions),
+                         std::to_string(ps.eliminated_checks),
+                         std::to_string(ps.eliminated_safe_store_ops),
+                         std::to_string(ps.eliminated_seal_ops),
+                         std::to_string(ps.forwarded_loads),
+                         std::to_string(ps.leaf_ret_elisions)});
+    }
+    pass_table.Print();
     std::printf("\n");
   }
 

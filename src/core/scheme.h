@@ -209,7 +209,7 @@ class SchemeRegistry {
   static const ProtectionScheme* FindOrRegisterComposite(std::string_view spec,
                                                          std::string* error);
 
-  // Reporting filters used by the bench drivers.
+  // Reporting filters used by the bench suite.
   static std::vector<const ProtectionScheme*> OverheadColumns();
   static std::vector<const ProtectionScheme*> RipeRows();
   static std::vector<const ProtectionScheme*> DefenseRows();

@@ -1,7 +1,7 @@
 // Fixed-width console table printer.
 //
-// Every bench binary regenerates one of the paper's tables/figures; this
-// printer renders them in a uniform, diff-friendly format.
+// bench/suite regenerates the paper's tables/figures; this printer
+// renders them in a uniform, diff-friendly format.
 #ifndef CPI_SRC_SUPPORT_TABLE_H_
 #define CPI_SRC_SUPPORT_TABLE_H_
 

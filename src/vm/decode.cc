@@ -318,10 +318,12 @@ MicroOp PickMacro(const DecodedOp* o, uint32_t len) {
       IsIntCompare(o[0].aux) && !o[1].a.is_imm() && o[1].a.reg == o[0].dest) {
     return static_cast<MicroOp>(MacroOp::kCmpBr);
   }
+  // FusibleInner/FusibleTail admit exactly the matrix vocabulary, so every
+  // planned pair has a specialised handler.
   const int h = FuseHeadIndex(o[0].op);
   const int t = FuseTailIndex(o[1].op);
-  if (h >= 0 && t >= 0) return PairMacro(h, t);
-  return static_cast<MicroOp>(MacroOp::kFuse2);
+  CPI_CHECK(h >= 0 && t >= 0);
+  return PairMacro(h, t);
 }
 
 const char* MicroOpName(MicroOp op) {
@@ -477,7 +479,6 @@ void FuseFunction(DecodedFunction& df, std::map<std::string, PatternAccum>& patt
     }
     ++acc.sites;
     acc.weight += c.weight;
-    head.fuse_head = static_cast<uint8_t>(head.op);
     head.fuse_id = acc.id;
     head.op = macro;
     *fused_tail_ops += c.len - 1;

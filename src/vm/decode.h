@@ -105,7 +105,7 @@ enum class MicroOp : uint8_t {
 //
 // Every macro opcode names its constituents *statically*, so the handler
 // reaches each constituent with a direct (predictable) call. That is the
-// entire win: a generic "dispatch fuse_head at run time" handler would
+// entire win: a generic "dispatch the head at run time" handler would
 // re-introduce exactly the data-dependent indirect jump that fusion exists
 // to remove, and measures slower than not fusing at all. Pairs get a full
 // head x tail opcode matrix; triples only the hand-specialised shapes below
@@ -146,8 +146,6 @@ constexpr size_t kNumTripleShapes = sizeof(kTripleShapes) / sizeof(kTripleShapes
 enum class MacroOp : uint8_t {
   kCmpBr = static_cast<uint8_t>(MicroOp::kCount),  // int compare + cond-branch,
                                                    // branch consumes the result
-  kFuse2,      // generic pair fallback (vocabulary gaps; none today)
-  kFuse3,      // generic triple fallback (never planned; kept defensively)
   kPairBase,   // head x tail matrix: kPairBase + head_index * kNumFuseTails + tail_index
   kTripleBase = kPairBase + kNumFuseHeads * kNumFuseTails,  // kTripleShapes order
   kEnd = kTripleBase + kNumTripleShapes,
@@ -186,11 +184,7 @@ constexpr MicroOp PairMacro(int head, int tail) {
 inline uint32_t FusedLength(MicroOp op) {
   if (!IsMacroOp(op)) return 1;
   const auto v = static_cast<uint8_t>(op);
-  if (v == static_cast<uint8_t>(MacroOp::kFuse3) ||
-      v >= static_cast<uint8_t>(MacroOp::kTripleBase)) {
-    return 3;
-  }
-  return 2;
+  return v >= static_cast<uint8_t>(MacroOp::kTripleBase) ? 3 : 2;
 }
 
 struct DecodedOp {
@@ -206,9 +200,8 @@ struct DecodedOp {
   // Up to three pre-resolved operands (every opcode except calls has <= 3).
   OperandSlot a, b, c;
   // Fused head only: index into DecodedModule::patterns() (dynamic hit
-  // stats) and the head's original micro opcode (generic macro dispatch).
+  // stats).
   uint16_t fuse_id = 0;
-  uint8_t fuse_head = 0;
   // kAlloca: safe-stack placement; kLibCall: checked variant; kRet: has a
   // return value.
   bool flag = false;
@@ -279,7 +272,7 @@ class DecodedModule {
 
 // Process-wide fusion statistics, aggregated across every fused
 // DecodedModule built and every fused execution since the last reset (the
-// bench drivers run many cells; the suite reports the aggregate). Static
+// bench suite runs many cells and reports the aggregate). Static
 // site/weight numbers accumulate at decode time, dynamic hit counts when a
 // Machine finishes running. Thread-safe.
 struct FusionPatternStat {

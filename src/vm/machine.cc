@@ -349,7 +349,6 @@ class Machine {
   using Handler = void (*)(Machine&, Frame&, const DecodedOp&);
   static const Handler kDispatch[kNumOpcodes];
   void RunDecodedLoop();
-  void RunFusedLoop();
   // Charges the dispatch-loop costs (fuel check, instruction count, base
   // cycles, quantum tick) for the next constituent of a fused sequence —
   // exactly what RunDecodedLoop's header would have charged had the
@@ -475,31 +474,6 @@ class Machine {
     }
     C(m, f, *(&op + 2));
   }
-  static void OpFuse2(Machine& m, Frame& f, const DecodedOp& op);
-  static void OpFuse3(Machine& m, Frame& f, const DecodedOp& op);
-  // Dispatches one constituent of a generic fused sequence. The switch
-  // covers exactly the fusible micro-op set (decode.cc: FusibleInner /
-  // FusibleTail), so the generic macro handlers inline their constituents
-  // instead of bouncing through kDispatch — the whole point of fusing.
-  __attribute__((always_inline)) static void DispatchConstituent(
-      Machine& m, Frame& f, const DecodedOp& op, MicroOp opcode) {
-    switch (opcode) {
-      case MicroOp::kLoad: OpLoad(m, f, op); break;
-      case MicroOp::kStore: OpStore(m, f, op); break;
-      case MicroOp::kFieldAddr: OpFieldAddr(m, f, op); break;
-      case MicroOp::kIndexAddr: OpIndexAddr(m, f, op); break;
-      case MicroOp::kBinOp: OpBinOp(m, f, op); break;
-      case MicroOp::kCast: OpCast(m, f, op); break;
-      case MicroOp::kSelect: OpSelect(m, f, op); break;
-      case MicroOp::kFuncAddr: OpFuncAddr(m, f, op); break;
-      case MicroOp::kGlobalAddr: OpGlobalAddr(m, f, op); break;
-      case MicroOp::kBr: OpBr(m, f, op); break;
-      case MicroOp::kCondBr: OpCondBr(m, f, op); break;
-      case MicroOp::kIntrinsic: OpIntrinsic(m, f, op); break;
-      default: kDispatch[static_cast<size_t>(opcode)](m, f, op); break;
-    }
-  }
-
   // --- scheduler ------------------------------------------------------------
   // Rotates to the next runnable thread (round-robin by thread id, starting
   // after the current one) and refills the quantum. Context switches charge
@@ -1132,10 +1106,8 @@ void Machine::RunToCompletion() {
       }
       break;
     case EngineKind::kDecoded:
-      RunDecodedLoop();
-      break;
     case EngineKind::kFused:
-      RunFusedLoop();
+      RunDecodedLoop();
       break;
   }
 }
@@ -2656,8 +2628,7 @@ void Machine::OpYield(Machine& m, Frame& f, const DecodedOp&) { m.DoYield(f); }
 // micro opcodes and payloads. Almost every macro is a FusePair/FuseTriple
 // template instantiation (declared in the class body): the pair matrix and
 // the specialised triple shapes are expanded directly into the dispatch
-// table below. OpCmpBr additionally inlines both constituent bodies;
-// OpFuse2/OpFuse3 are the generic fallbacks driven by fuse_head.
+// table below. OpCmpBr additionally inlines both constituent bodies.
 
 void Machine::OpCmpBr(Machine& m, Frame& f, const DecodedOp& op) {
   ++m.fuse_hits_[op.fuse_id];
@@ -2689,53 +2660,6 @@ void Machine::OpCmpBr(Machine& m, Frame& f, const DecodedOp& op) {
   }
   const DecodedOp& t = *(&op + 1);
   f.ip = r != 0 ? t.target : t.target2;
-}
-
-void Machine::OpFuse2(Machine& m, Frame& f, const DecodedOp& op) {
-  ++m.fuse_hits_[op.fuse_id];
-  if (!m.PrechargeTails(1)) {
-    DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-    if (!m.FusedStep()) return;
-    const DecodedOp& t = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t, t.op);
-    return;
-  }
-  DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-  if (m.done_) {
-    m.UnchargeTails(1);
-    return;
-  }
-  // Straight-line constituents sit right after the head (every fusible
-  // inner op advances f.ip by exactly one), so tails are *(&op + k).
-  const DecodedOp& t = *(&op + 1);
-  DispatchConstituent(m, f, t, t.op);
-}
-
-void Machine::OpFuse3(Machine& m, Frame& f, const DecodedOp& op) {
-  ++m.fuse_hits_[op.fuse_id];
-  if (!m.PrechargeTails(2)) {
-    DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-    if (!m.FusedStep()) return;
-    const DecodedOp& t1 = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t1, t1.op);
-    if (!m.FusedStep()) return;
-    const DecodedOp& t2 = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t2, t2.op);
-    return;
-  }
-  DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-  if (m.done_) {
-    m.UnchargeTails(2);
-    return;
-  }
-  const DecodedOp& t1 = *(&op + 1);
-  DispatchConstituent(m, f, t1, t1.op);
-  if (m.done_) {
-    m.UnchargeTails(1);
-    return;
-  }
-  const DecodedOp& t2 = *(&op + 2);
-  DispatchConstituent(m, f, t2, t2.op);
 }
 
 // The pair matrix and triple shapes, expanded into FusePair/FuseTriple
@@ -2770,8 +2694,6 @@ const Machine::Handler Machine::kDispatch[kNumOpcodes] = {
     &Machine::OpSpawn,    &Machine::OpJoin,         &Machine::OpYield,
     // Macro-ops (fused tier only; the decoded tier never emits them).
     &Machine::OpCmpBr,
-    &Machine::OpFuse2,
-    &Machine::OpFuse3,
     // kPairBase: the head x tail matrix.
     CPI_FUSE_PAIRS(CPI_PAIR_ENTRY)
     // kTripleBase: kTripleShapes order.
@@ -2790,7 +2712,9 @@ const Machine::Handler Machine::kDispatch[kNumOpcodes] = {
 #undef CPI_PAIR_ENTRY
 #undef CPI_TRIPLE_ENTRY
 
-
+// The one predecoded dispatch loop, shared by the decoded and fused tiers:
+// they differ only in whether the DecodedModule was fused, and the macro
+// handlers charge their tails through FusedStep.
 void Machine::RunDecodedLoop() {
   while (!done_) {
     if (result_.counters.instructions >= options_.max_steps) {
@@ -2804,31 +2728,6 @@ void Machine::RunDecodedLoop() {
     // Same malformed-IR guard as the reference Step(): a block missing its
     // terminator must abort loudly, not fall through into the next block's
     // flattened ops.
-    CPI_CHECK(f.ip < f.dfunc->ops.size());
-    const DecodedOp& op = f.dfunc->ops[f.ip];
-    ++result_.counters.instructions;
-    Cycles(kBaseCycles);
-    kDispatch[static_cast<size_t>(op.op)](*this, f, op);
-    if ((resched_ || --quantum_left_ == 0) && !done_) {
-      Reschedule();
-    }
-  }
-}
-
-// The fused tier's loop: identical charging structure to RunDecodedLoop
-// (the macro handlers charge their tails through FusedStep), with the
-// hottest handlers dispatched through a switch so the compiler can inline
-// them into the loop body instead of an indirect call per op.
-void Machine::RunFusedLoop() {
-  while (!done_) {
-    if (result_.counters.instructions >= options_.max_steps) {
-      Trap(RunStatus::kOutOfFuel, Violation::kNone, "step budget exhausted");
-      break;
-    }
-    if (result_.counters.instructions >= fault_at_) {
-      ApplyPendingFaults();
-    }
-    Frame& f = cur_->frames.back();
     CPI_CHECK(f.ip < f.dfunc->ops.size());
     const DecodedOp& op = f.dfunc->ops[f.ip];
     ++result_.counters.instructions;

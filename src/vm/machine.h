@@ -45,7 +45,7 @@ const char* RunStatusName(RunStatus s);
 // counters, output, memory footprint, violations — and differ only in
 // wall-clock (tests/decode_test.cc and tests/fuse_test.cc enforce the
 // equivalence). kFused is the default everywhere; the slower tiers exist as
-// oracles and escape hatches (`--engine` in the bench drivers).
+// oracles and escape hatches (`--engine` in bench/suite).
 enum class EngineKind : uint8_t {
   kReference,  // tier 1: tree-walking evaluator over the IR object graph
   kDecoded,    // tier 2: predecoded micro-op dispatch
@@ -94,7 +94,7 @@ struct RunOptions {
   // 1 — the default — is the legacy shared store with the flat concurrent
   // sync premium; every recorded table is at 1. Behaviour (status, output,
   // per-op entry state) is identical at any count; cycles/cache/memory
-  // legitimately vary with it (bench/ablation_shards sweeps it).
+  // legitimately vary with it (suite's ablation_shards table sweeps it).
   uint32_t shards = 1;
   // Epoch-based shard-ownership migration. When false (the default) the
   // owner table is the static one precomputed from the layout — the PR 8

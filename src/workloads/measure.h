@@ -1,4 +1,4 @@
-// Measurement harness shared by the bench binaries: runs workloads under
+// Measurement harness behind the bench suite: runs workloads under
 // several protection configurations and reports relative overheads (in
 // simulated cycles) plus the static compilation statistics of Table 2.
 //

@@ -48,7 +48,7 @@ const std::vector<Workload>& ConcurrentServer();
 // The epoll-style event-loop server: per-worker keep-alive connection slabs
 // (handler function pointers in worker-homed heap arenas), pseudo-random
 // ready batches, connection churn against the shared handler table. The
-// driving workload of the safe-store shard ablation (bench/ablation_shards).
+// driving workload of the safe-store shard ablation (suite's ablation_shards).
 // Kept out of ConcurrentServer() so the recorded table4_concurrent baseline
 // is untouched.
 const std::vector<Workload>& EventLoop();
@@ -59,7 +59,7 @@ const std::vector<Workload>& EventLoop();
 // request batching, and worker generations that inherit their predecessors'
 // connection cells — the workload where epoch-based shard-ownership
 // migration (Config::migrate) pays and static ownership cannot. Drives
-// bench/ablation_churn; kept out of EventLoop()/ConcurrentServer() so the
+// suite's ablation_churn; kept out of EventLoop()/ConcurrentServer() so the
 // recorded ablation_shards and table4_concurrent baselines are untouched.
 const std::vector<Workload>& ChurnServer();
 

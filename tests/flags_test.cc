@@ -1,7 +1,6 @@
-// Regression tests for the bench drivers' shared flag parsing: unknown (or
-// value-less) arguments must abort the run instead of silently recording a
-// whole table under default settings (a typo like `--job 4` used to do
-// exactly that).
+// Regression tests for the suite's flag parsing: unknown (or value-less)
+// arguments must abort the run instead of silently recording a whole table
+// under default settings (a typo like `--job 4` used to do exactly that).
 #include <gtest/gtest.h>
 
 #include "bench/flags.h"
@@ -26,82 +25,17 @@ TEST(BenchFlagsTest, KnownFlagsParse) {
   EXPECT_EQ(flags.opt, 1);
 }
 
-TEST(BenchFlagsTest, MigrateFlagParsesAndReachesConfig) {
-  char a0[] = "bench";
-  char a1[] = "--shards";
-  char a2[] = "8";
-  char a3[] = "--migrate";
-  char* argv[] = {a0, a1, a2, a3};
-  const Flags flags = Parse(4, argv);
-  EXPECT_EQ(flags.shards, 8u);
-  EXPECT_TRUE(flags.migrate);
-  const core::Config config = BaseConfig(flags);
-  EXPECT_EQ(config.shards, 8u);
-  EXPECT_TRUE(config.migrate);
-}
-
-TEST(BenchFlagsTest, MigrateWithOneShardWarnsButParses) {
-  char a0[] = "bench";
-  char a1[] = "--migrate";
-  char* argv[] = {a0, a1};
-  testing::internal::CaptureStderr();
-  const Flags flags = Parse(2, argv);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_TRUE(flags.migrate);
-  EXPECT_EQ(flags.shards, 1u);
-  EXPECT_NE(err.find("no-op"), std::string::npos) << err;
-}
-
-TEST(BenchFlagsTest, SchemeFlagResolvesARegisteredName) {
-  char a0[] = "bench";
-  char a1[] = "--scheme";
-  char a2[] = "cpi";
-  char* argv[] = {a0, a1, a2};
-  const Flags flags = Parse(3, argv);
-  ASSERT_NE(flags.scheme, nullptr);
-  EXPECT_STREQ(flags.scheme->name(), "cpi");
-  EXPECT_EQ(flags.scheme, core::SchemeRegistry::FindByName("cpi"));
-  // Deliberately NOT applied by BaseConfig (it would pin registry-sweeping
-  // drivers to one scheme); consuming drivers opt in.
-  EXPECT_EQ(BaseConfig(flags).scheme, nullptr);
-}
-
-TEST(BenchFlagsTest, SchemeFlagResolvesACompositeSpec) {
-  char a0[] = "bench";
-  char a1[] = "--scheme";
-  char a2[] = "ptrenc+safestack";
-  char* argv[] = {a0, a1, a2};
-  const Flags flags = Parse(3, argv);
-  ASSERT_NE(flags.scheme, nullptr);
-  EXPECT_STREQ(flags.scheme->name(), "ptrenc+safestack");
-  // The blessed composites are pre-registered; the spec resolves to the
-  // registry entry rather than minting a duplicate.
-  EXPECT_EQ(flags.scheme, core::SchemeRegistry::FindByName("ptrenc+safestack"));
-}
-
-TEST(BenchFlagsDeathTest, SchemeFlagRejectsUnknownComponents) {
-  char a0[] = "bench";
-  char a1[] = "--scheme";
-  char a2[] = "cpi+no-such-scheme";
-  char* argv[] = {a0, a1, a2};
-  EXPECT_EXIT(Parse(3, argv), testing::ExitedWithCode(2),
-              "bad --scheme: unknown scheme 'no-such-scheme'");
-}
-
-TEST(BenchFlagsDeathTest, SchemeFlagRejectsWriteConflictingStacks) {
-  char a0[] = "bench";
-  char a1[] = "--scheme";
-  char a2[] = "cpi+cps";  // both rewrite pointer loads/stores and icalls
-  char* argv[] = {a0, a1, a2};
-  EXPECT_EXIT(Parse(3, argv), testing::ExitedWithCode(2), "bad --scheme: ");
-}
-
 TEST(BenchFlagsDeathTest, UnknownArgumentExitsNonZero) {
   char a0[] = "bench";
   char a1[] = "--job";  // the motivating typo
   char a2[] = "4";
   char* argv[] = {a0, a1, a2};
   EXPECT_EXIT(Parse(3, argv), testing::ExitedWithCode(2), "unknown argument: --job");
+  // Shard count is not a suite flag: the suite sweeps it itself.
+  char b1[] = "--shards";
+  char b2[] = "16";
+  char* retired[] = {a0, b1, b2};
+  EXPECT_EXIT(Parse(3, retired), testing::ExitedWithCode(2), "unknown argument: --shards");
 }
 
 TEST(BenchFlagsDeathTest, MissingValueExitsNonZero) {

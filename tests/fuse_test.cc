@@ -196,6 +196,19 @@ bool IsFusionBarrier(vm::MicroOp op) {
   }
 }
 
+// The micro opcode a macro's head constituent had before fusion, recovered
+// from the opcode encoding (decode.h: kCmpBr, the pair matrix, the triple
+// shapes).
+vm::MicroOp MacroHead(vm::MicroOp macro) {
+  const auto v = static_cast<size_t>(macro);
+  if (v == static_cast<size_t>(vm::MacroOp::kCmpBr)) return vm::MicroOp::kBinOp;
+  if (v >= static_cast<size_t>(vm::MacroOp::kTripleBase)) {
+    return vm::kTripleShapes[v - static_cast<size_t>(vm::MacroOp::kTripleBase)].a;
+  }
+  return vm::kFuseHeadOps[(v - static_cast<size_t>(vm::MacroOp::kPairBase)) /
+                          vm::kNumFuseTails];
+}
+
 void CheckFusedFunction(const vm::DecodedFunction& df, const std::string& label) {
   for (size_t i = 0; i < df.ops.size(); ++i) {
     const vm::DecodedOp& head = df.ops[i];
@@ -214,7 +227,7 @@ void CheckFusedFunction(const vm::DecodedFunction& df, const std::string& label)
     // The head's original opcode and every tail stay inside the fusible set:
     // no calls, returns, thread ops or I/O, and a branch only in last
     // position.
-    const auto head_op = static_cast<vm::MicroOp>(head.fuse_head);
+    const vm::MicroOp head_op = MacroHead(head.op);
     EXPECT_FALSE(IsFusionBarrier(head_op)) << label << " head at op " << i;
     EXPECT_FALSE(head_op == vm::MicroOp::kBr || head_op == vm::MicroOp::kCondBr)
         << label << " branch head at op " << i;

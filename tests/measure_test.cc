@@ -4,8 +4,8 @@
 //
 // The load-bearing property is the serial-vs-parallel differential: every
 // Measurement field must be bit-identical between --jobs 1 (strictly
-// serial, no worker threads) and --jobs N. The suite and all bench drivers
-// rely on it — parallelism may only change wall-clock, never a number.
+// serial, no worker threads) and --jobs N. The bench suite
+// relies on it — parallelism may only change wall-clock, never a number.
 #include <atomic>
 #include <stdexcept>
 #include <string>

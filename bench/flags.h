@@ -1,8 +1,8 @@
 // CLI parsing for bench/suite.
 //
 //   --json       one machine-readable JSON report
-//   --time       print harness wall-clock
-//   --scale N    workload size multiplier (also accepts "small" == 1)
+//   --time       print the wall-clock split (build / cells / attacks)
+//   --scale N    workload size multiplier >= 1 (also accepts "small" == 1)
 //   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
 //                concurrency, 1 = strictly serial (bit-identical tables
 //                either way — only wall-clock changes)
@@ -16,6 +16,9 @@
 #ifndef CPI_BENCH_FLAGS_H_
 #define CPI_BENCH_FLAGS_H_
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +44,25 @@ inline void PrintUsage(const char* argv0) {
                argv0);
 }
 
+[[noreturn]] inline void Reject(const char* argv0, const char* flag, const char* value) {
+  std::fprintf(stderr, "invalid %s: %s\n", flag, value);
+  PrintUsage(argv0);
+  std::exit(2);
+}
+
+// A whole decimal count >= `min`; anything else ("foo", "-3", "2x", "")
+// exits 2 with usage rather than running under a guessed value.
+inline int ParseCount(const char* argv0, const char* flag, const char* value, int min) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || v < min || v > INT_MAX) {
+    Reject(argv0, flag, value);
+  }
+  return static_cast<int>(v);
+}
+
 inline Flags Parse(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
@@ -50,22 +72,13 @@ inline Flags Parse(int argc, char** argv) {
       flags.timing = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
       ++i;
-      flags.scale = std::strcmp(argv[i], "small") == 0 ? 1 : std::atoi(argv[i]);
-      if (flags.scale < 1) {
-        std::fprintf(stderr, "invalid --scale; using 1\n");
-        flags.scale = 1;
-      }
+      flags.scale = std::strcmp(argv[i], "small") == 0
+                        ? 1
+                        : ParseCount(argv[0], "--scale", argv[i], /*min=*/1);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      flags.jobs = std::atoi(argv[++i]);
-      if (flags.jobs < 0) {
-        flags.jobs = 0;
-      }
+      flags.jobs = ParseCount(argv[0], "--jobs", argv[++i], /*min=*/0);
     } else if (std::strcmp(argv[i], "--opt") == 0 && i + 1 < argc) {
-      flags.opt = std::atoi(argv[++i]);
-      if (flags.opt < 0) {
-        std::fprintf(stderr, "invalid --opt; using 0\n");
-        flags.opt = 0;
-      }
+      flags.opt = ParseCount(argv[0], "--opt", argv[++i], /*min=*/0);
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
       ++i;
       if (std::strcmp(argv[i], "fused") == 0) {
@@ -75,9 +88,7 @@ inline Flags Parse(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "reference") == 0) {
         flags.engine = vm::EngineKind::kReference;
       } else {
-        std::fprintf(stderr, "unknown --engine: %s\n", argv[i]);
-        PrintUsage(argv[0]);
-        std::exit(2);
+        Reject(argv[0], "--engine", argv[i]);
       }
     } else {
       // Unknown (or value-less) arguments used to be silently ignored, so a

@@ -1,13 +1,10 @@
-// The unified bench suite: every paper table/figure in one process, sharing
-// one frontend build per workload across all of them, with every
-// (workload × configuration) measurement cell executed across the --jobs
-// thread pool (src/support/pool.h).
+// The unified bench suite: every paper table/figure in one process.
 //
 //   suite                 human-readable report, all tables
 //   suite --json          one consolidated machine-readable report
 //   suite --scale N       workload size multiplier ("small" == 1)
 //   suite --jobs N        cell parallelism (default: hardware concurrency)
-//   suite --time          append wall-clock summary to the human report
+//   suite --time          append the wall-clock split to the human report
 //   suite --opt N         additionally emit the ablation_opt table (per-
 //                         scheme overhead with the post-instrumentation
 //                         optimizer off/on) and the optimizer's CPI
@@ -15,12 +12,23 @@
 //                         run at O0 and stay byte-identical at any --opt.
 //   suite --engine E      VM execution tier (fused, decoded, reference)
 //
+// The paper's tables are views of one set of (workload × configuration)
+// runs, and the suite is built that way: every workload set is built once,
+// in one BuildWorkloads; every table appends the cells it reads to one plan
+// and keeps their positions; one content-addressed RunCells pass runs each
+// distinct (workload, Config) once across the --jobs thread pool
+// (src/support/pool.h); each table is then reduced from its own positions.
+// A cell that several tables read (Table 1's CPI column, the isolation
+// ablation's "segment" column, the §5.2 kArray row) is requested by each
+// and run once. The RIPE attack matrices run after the cells.
+//
 // Table values are bit-identical at any --jobs value and under any engine
 // (the cost model is simulated; the pool and the tier only change
 // wall-clock). The JSON layout keeps everything that varies between runs
-// (wall_ms, jobs, host concurrency, fusion stats) and the diagnostic
-// listings (cfi_hijacks, opt_instrumentation) outside "tables", so
-// `jq .tables` output is byte-stable; tests/frozen_tables.py diffs the
+// (wall_ms, the build_ms / cells_ms / attacks_ms split, the cells /
+// unique_cells counts, jobs, host concurrency, fusion stats) and the
+// diagnostic listings (cfi_hijacks, opt_instrumentation) outside "tables",
+// so `jq .tables` output is byte-stable; tests/frozen_tables.py diffs the
 // --opt 1 payload against the committed BENCH_pr10.json baseline.
 //
 // docs/PAPER_MAP.md maps each table emitted here back to the paper.
@@ -51,6 +59,7 @@ using cpi::runtime::StoreKind;
 using cpi::workloads::CellResult;
 using cpi::workloads::MeasureCell;
 using cpi::workloads::Measurement;
+using cpi::workloads::MeasurementCells;
 using cpi::workloads::Workload;
 
 class Stopwatch {
@@ -237,340 +246,327 @@ void PrintOverheadTable(const char* title, const OverheadTable& t, bool lang) {
 int main(int argc, char** argv) {
   const cpi::bench::Flags flags = cpi::bench::Parse(argc, argv);
   const Stopwatch total;
-  // Every measured cell honors --engine. The standard tables stay at O0
-  // regardless of --opt (see bench/flags.h), so this base carries only the
-  // engine knob; tables are bit-identical across engines anyway.
-  Config engine_base;
-  engine_base.engine = flags.engine;
-  std::map<std::string, double> table_wall_ms;
-
   const std::vector<Protection> overhead_protections = cpi::workloads::OverheadProtections();
-
-  // -------------------------------------------------------------------------
-  // Shared builds + the SPEC sweep. One frontend build per SPEC workload
-  // serves Table 1, Table 2, Table 3, Fig. 5's subset, both ablations and
-  // the §5.2 memory sweep. The measurement adds the SoftBound column to the
-  // overhead schemes so Table 3 falls out of the same sweep.
-  Stopwatch spec_watch;
-  const auto& spec = cpi::workloads::SpecCpu2006();
-  const auto spec_built = cpi::workloads::BuildWorkloads(spec, flags.scale, flags.jobs);
-  const auto spec_views = cpi::workloads::ModuleViews(spec_built);
-
+  // Table 3 is Table 1 plus the SoftBound column.
   std::vector<Protection> spec_protections = overhead_protections;
   spec_protections.push_back(Protection::kSoftBound);
-  const auto spec_ms = cpi::workloads::MeasureWorkloads(spec, spec_views,
-                                                        spec_protections, engine_base, flags.jobs);
-
-  OverheadTable table1;
-  table1.columns = overhead_protections;
-  for (const auto& m : spec_ms) {
-    table1.rows.push_back(&m);
-  }
-  table_wall_ms["table1_spec_overhead"] = spec_watch.Ms();
-
-  OverheadTable table3;
-  table3.columns = spec_protections;
-  table3.rows = table1.rows;
 
   // -------------------------------------------------------------------------
-  // Table 2: static compilation statistics from the vanilla-cell stats of
-  // the shared sweep (default classification options).
-  table_wall_ms["table2_compile_stats"] = 0;  // amortised into the SPEC sweep
+  // Every workload set in one list, frontend-built once. A set is kept as
+  // the positions of its workloads in that list.
+  std::vector<Workload> workloads;
+  const auto add_set = [&workloads](const std::vector<Workload>& set) {
+    std::vector<size_t> at;
+    for (const Workload& w : set) {
+      at.push_back(workloads.size());
+      workloads.push_back(w);
+    }
+    return at;
+  };
+  const auto& spec = cpi::workloads::SpecCpu2006();
+  const std::vector<size_t> spec_at = add_set(spec);
+  const std::vector<size_t> phoronix_at = add_set(cpi::workloads::Phoronix());
+  const std::vector<size_t> web_at = add_set(cpi::workloads::WebServer());
+  const std::vector<size_t> mt_at = add_set(cpi::workloads::ConcurrentServer());
+  const std::vector<size_t> ev_at = add_set(cpi::workloads::EventLoop());
+  const std::vector<size_t> churn_only_at = add_set(cpi::workloads::ChurnServer());
+
+  const Stopwatch build_watch;
+  const auto built = cpi::workloads::BuildWorkloads(workloads, flags.scale, flags.jobs);
+  const auto views = cpi::workloads::ModuleViews(built);
+  const double build_ms = build_watch.Ms();
 
   // -------------------------------------------------------------------------
-  // Ablations on the shared builds. The "segment" / "software" columns are
-  // plain CPI, already measured by the SPEC sweep; only the variant
-  // configurations add cells.
-  Stopwatch iso_watch;
-  const std::vector<std::pair<std::string, Config>> iso_variants = [&flags] {
-    Config info;
-    info.protection = Protection::kCpi;
-    info.isolation = cpi::runtime::IsolationKind::kInfoHiding;
-    info.engine = flags.engine;
-    Config sfi;
-    sfi.protection = Protection::kCpi;
-    sfi.isolation = cpi::runtime::IsolationKind::kSfi;
-    sfi.engine = flags.engine;
-    return std::vector<std::pair<std::string, Config>>{{"info-hiding", info},
-                                                       {"sfi", sfi}};
-  }();
-  std::vector<MeasureCell> iso_cells;
-  iso_cells.reserve(spec.size() * iso_variants.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const auto& [name, config] : iso_variants) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config = config;
-      iso_cells.push_back(cell);
+  // The plan. Every table appends the cells it needs to one list and keeps
+  // their positions; RunCells runs each distinct (workload, Config) once,
+  // so a table asks for every cell it reads — its own vanilla baselines
+  // included — even where another table asks for the same one. Every cell
+  // honors --engine; the standard tables stay at O0 regardless of --opt.
+  Config engine_base;
+  engine_base.engine = flags.engine;
+  std::vector<MeasureCell> cells;
+  const auto cell = [&cells, &engine_base](size_t workload, Protection protection,
+                                           Config config = {}) {
+    config.protection = protection;
+    config.engine = engine_base.engine;
+    cells.push_back({workload, config});
+    return cells.size() - 1;
+  };
+  const auto measure = [&cells, &engine_base](const std::vector<size_t>& set,
+                                              const std::vector<Protection>& protections) {
+    std::vector<MeasurementCells> at;
+    for (size_t wi : set) {
+      at.push_back(cpi::workloads::AddMeasurementCells(cells, wi, protections, engine_base));
+    }
+    return at;
+  };
+
+  // Table 1 / Table 2 / Table 3 (SPEC), Fig. 4 (Phoronix), Table 4 (web
+  // server) and Table 4 "concurrent" (multi-worker servers on the VM's
+  // thread scheduler): vanilla plus one cell per column.
+  const auto spec_plan = measure(spec_at, spec_protections);
+  const auto phoronix_plan = measure(phoronix_at, overhead_protections);
+  const auto web_plan = measure(web_at, overhead_protections);
+  const auto mt_plan = measure(mt_at, overhead_protections);
+
+  // Fig. 5: every defense row's average overhead on a four-workload subset.
+  const std::vector<std::string> fig5_subset = {"401.bzip2", "447.dealII", "458.sjeng",
+                                                "464.h264ref"};
+  std::vector<size_t> fig5_at;
+  for (size_t k = 0; k < spec.size(); ++k) {
+    if (std::count(fig5_subset.begin(), fig5_subset.end(), spec[k].name) > 0) {
+      fig5_at.push_back(spec_at[k]);
     }
   }
-  const auto iso_results = cpi::workloads::RunCells(spec, spec_views, iso_cells, flags.jobs);
+  const auto defense_rows = cpi::core::SchemeRegistry::DefenseRows();
+  std::vector<Protection> defense_protections;
+  for (const ProtectionScheme* s : defense_rows) {
+    defense_protections.push_back(s->id());
+  }
+  const auto fig5_plan = measure(fig5_at, defense_protections);
 
-  AblationIsolation iso;
-  iso.columns = {{"segment", {}}, {"info-hiding", {}}, {"sfi", {}}};
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    iso.workloads.push_back(spec[wi].name);
-    iso.columns[0].second.push_back(spec_ms[wi].OverheadPct(Protection::kCpi));
-    for (size_t vi = 0; vi < iso_variants.size(); ++vi) {
-      const CellResult& r = iso_results[wi * iso_variants.size() + vi];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      iso.columns[1 + vi].second.push_back(cpi::OverheadPercent(
-          static_cast<double>(r.cycles), static_cast<double>(spec_ms[wi].vanilla_cycles)));
+  // §3.2.3 isolation and §4 MPX ablations under CPI, against vanilla.
+  // Segment isolation is the default, so the "segment" and "software"
+  // columns are Table 1's CPI cells.
+  const std::vector<std::pair<std::string, cpi::runtime::IsolationKind>> iso_kinds = {
+      {"segment", cpi::runtime::IsolationKind::kSegment},
+      {"info-hiding", cpi::runtime::IsolationKind::kInfoHiding},
+      {"sfi", cpi::runtime::IsolationKind::kSfi}};
+  Config mpx_config;
+  mpx_config.mpx_assist = true;
+  std::vector<size_t> spec_vanilla;
+  std::vector<std::vector<size_t>> iso_plan;  // [workload][isolation kind]
+  std::vector<std::pair<size_t, size_t>> mpx_plan;  // [workload] {software, mpx}
+  for (size_t wi : spec_at) {
+    spec_vanilla.push_back(cell(wi, Protection::kNone));
+    std::vector<size_t> row;
+    for (const auto& [name, kind] : iso_kinds) {
+      Config config;
+      config.isolation = kind;
+      row.push_back(cell(wi, Protection::kCpi, config));
     }
+    iso_plan.push_back(std::move(row));
+    mpx_plan.push_back(
+        {cell(wi, Protection::kCpi), cell(wi, Protection::kCpi, mpx_config)});
   }
-  table_wall_ms["ablation_isolation"] = iso_watch.Ms();
 
-  Stopwatch mpx_watch;
-  std::vector<MeasureCell> mpx_cells;
-  mpx_cells.reserve(spec.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    MeasureCell cell;
-    cell.workload = wi;
-    cell.config.protection = Protection::kCpi;
-    cell.config.mpx_assist = true;
-    cell.config.engine = flags.engine;
-    mpx_cells.push_back(cell);
-  }
-  const auto mpx_results = cpi::workloads::RunCells(spec, spec_views, mpx_cells, flags.jobs);
-
-  AblationMpx mpx;
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    CPI_CHECK(mpx_results[wi].status == cpi::vm::RunStatus::kOk);
-    mpx.workloads.push_back(spec[wi].name);
-    mpx.software_pct.push_back(spec_ms[wi].OverheadPct(Protection::kCpi));
-    mpx.mpx_pct.push_back(
-        cpi::OverheadPercent(static_cast<double>(mpx_results[wi].cycles),
-                             static_cast<double>(spec_ms[wi].vanilla_cycles)));
-  }
-  table_wall_ms["ablation_mpx"] = mpx_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // §5.2 memory sweep on the shared builds (vanilla footprints come from
-  // the SPEC sweep's baseline cells).
-  Stopwatch mem_watch;
+  // §5.2 memory sweep: every overhead scheme under each safe-store layout
+  // (kArray, the default, repeats Table 1's cells).
   const std::vector<StoreKind> stores = {StoreKind::kHash, StoreKind::kTwoLevel,
                                          StoreKind::kArray};
-  std::vector<MeasureCell> mem_cells;
-  mem_cells.reserve(stores.size() * spec.size() * overhead_protections.size());
+  std::vector<std::vector<std::vector<size_t>>> mem_plan;  // [store][workload][scheme]
   for (StoreKind store : stores) {
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
+    Config config;
+    config.store = store;
+    std::vector<std::vector<size_t>> per_store;
+    for (size_t wi : spec_at) {
+      std::vector<size_t> row;
       for (Protection p : overhead_protections) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config.protection = p;
-        cell.config.store = store;
-        cell.config.engine = flags.engine;
-        mem_cells.push_back(cell);
+        row.push_back(cell(wi, p, config));
       }
+      per_store.push_back(std::move(row));
+    }
+    mem_plan.push_back(std::move(per_store));
+  }
+
+  // ablation_shards: the safe-region shard sweep over the event-loop and
+  // concurrent servers. S=1 is the historical flat contention model; the
+  // reduction cross-checks that sharding only re-prices accesses
+  // (identical safe-store op counts at every shard count).
+  // ablation_churn: static vs epoch-versioned (Config::migrate) ownership
+  // over the churn server — which retires and respawns its worker pool, so
+  // connection cells outlive the generation that allocated them — plus the
+  // same servers, to show migration never charges more than the static
+  // table. Each plan row is {vanilla, CPI cells...}.
+  const std::vector<uint32_t> shard_counts = {1, 2, 4, 8, 16, 64};
+  std::vector<size_t> shard_set = ev_at;
+  shard_set.insert(shard_set.end(), mt_at.begin(), mt_at.end());
+  std::vector<size_t> churn_set = churn_only_at;
+  churn_set.insert(churn_set.end(), shard_set.begin(), shard_set.end());
+  const auto sharded = [&cell](size_t wi, uint32_t shards, bool migrate) {
+    Config config;
+    config.shards = shards;
+    config.migrate = migrate;
+    return cell(wi, Protection::kCpi, config);
+  };
+  std::vector<std::vector<size_t>> shard_plan;  // [workload] vanilla, S...
+  for (size_t wi : shard_set) {
+    std::vector<size_t> row = {cell(wi, Protection::kNone)};
+    for (uint32_t shards : shard_counts) {
+      row.push_back(sharded(wi, shards, false));
+    }
+    shard_plan.push_back(std::move(row));
+  }
+  std::vector<std::vector<size_t>> churn_plan;  // [workload] vanilla, {st, ep}...
+  for (size_t wi : churn_set) {
+    std::vector<size_t> row = {cell(wi, Protection::kNone)};
+    for (uint32_t shards : shard_counts) {
+      row.push_back(sharded(wi, shards, false));
+      row.push_back(sharded(wi, shards, true));
+    }
+    churn_plan.push_back(std::move(row));
+  }
+
+  // table_composites: SPEC overhead of the composable-scheme rows
+  // (SchemeRegistry::CompositeTableRows — ptrenc-ret-chain and the
+  // registered composites). Cells select by Config::scheme, since a
+  // composite has no Protection id of its own. A separate table so every
+  // frozen single-scheme table stays byte-identical.
+  const auto composite_schemes = cpi::core::SchemeRegistry::CompositeTableRows();
+  std::vector<std::vector<size_t>> comp_plan;  // [scheme][workload]
+  for (const ProtectionScheme* s : composite_schemes) {
+    Config config;
+    config.scheme = s;
+    std::vector<size_t> row;
+    for (size_t wi : spec_at) {
+      row.push_back(cell(wi, s->id(), config));
+    }
+    comp_plan.push_back(std::move(row));
+  }
+
+  // ablation_opt (--opt >= 1 only): per-scheme overhead at O0 (Table 1's
+  // cells) and at O<opt>, each against the same-level vanilla baseline.
+  Config opt_config;
+  opt_config.opt_level = flags.opt;
+  std::vector<std::vector<std::pair<size_t, size_t>>> opt_plan;  // [workload][scheme]
+  std::vector<size_t> opt_vanilla;
+  if (flags.opt >= 1) {
+    for (size_t wi : spec_at) {
+      opt_vanilla.push_back(cell(wi, Protection::kNone, opt_config));
+      std::vector<std::pair<size_t, size_t>> row;
+      for (Protection p : overhead_protections) {
+        row.push_back({cell(wi, p), cell(wi, p, opt_config)});
+      }
+      opt_plan.push_back(std::move(row));
     }
   }
-  const auto mem_results = cpi::workloads::RunCells(spec, spec_views, mem_cells, flags.jobs);
+
+  // -------------------------------------------------------------------------
+  // One pass over the whole plan.
+  const Stopwatch cells_watch;
+  const std::vector<CellResult> results =
+      cpi::workloads::RunCells(workloads, views, cells, flags.jobs);
+  const double cells_ms = cells_watch.Ms();
+  const size_t unique_cells = cpi::workloads::UniqueCells(cells);
+
+  // -------------------------------------------------------------------------
+  // Reductions, each reading its own cells. `overhead` requires both runs
+  // to have completed.
+  const auto overhead = [&results](size_t at, size_t vanilla_at) {
+    const CellResult& r = results[at];
+    const CellResult& vanilla = results[vanilla_at];
+    CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
+    CPI_CHECK(vanilla.status == cpi::vm::RunStatus::kOk);
+    return cpi::OverheadPercent(static_cast<double>(r.cycles),
+                                static_cast<double>(vanilla.cycles));
+  };
+  const auto reduce = [&workloads, &results](const std::vector<MeasurementCells>& plan) {
+    std::vector<Measurement> ms;
+    for (const MeasurementCells& at : plan) {
+      ms.push_back(cpi::workloads::ReduceMeasurement(workloads[at.workload], at, results));
+    }
+    return ms;
+  };
+  const std::vector<Measurement> spec_ms = reduce(spec_plan);
+  const std::vector<Measurement> phoronix_ms = reduce(phoronix_plan);
+  const std::vector<Measurement> web_ms = reduce(web_plan);
+  const std::vector<Measurement> mt_ms = reduce(mt_plan);
+  const std::vector<Measurement> fig5_ms = reduce(fig5_plan);
+  const auto overhead_table = [](const std::vector<Measurement>& ms,
+                                 const std::vector<Protection>& columns) {
+    OverheadTable t;
+    t.columns = columns;
+    for (const Measurement& m : ms) {
+      t.rows.push_back(&m);
+    }
+    return t;
+  };
+  const OverheadTable table1 = overhead_table(spec_ms, overhead_protections);
+  const OverheadTable table3 = overhead_table(spec_ms, spec_protections);
+  const OverheadTable fig4 = overhead_table(phoronix_ms, overhead_protections);
+  const OverheadTable table4 = overhead_table(web_ms, overhead_protections);
+  const OverheadTable table4_concurrent = overhead_table(mt_ms, overhead_protections);
+
+  AblationIsolation iso;
+  for (const auto& [name, kind] : iso_kinds) {
+    iso.columns.push_back({name, {}});
+  }
+  AblationMpx mpx;
+  for (size_t k = 0; k < spec.size(); ++k) {
+    iso.workloads.push_back(spec[k].name);
+    for (size_t c = 0; c < iso_kinds.size(); ++c) {
+      iso.columns[c].second.push_back(overhead(iso_plan[k][c], spec_vanilla[k]));
+    }
+    mpx.workloads.push_back(spec[k].name);
+    mpx.software_pct.push_back(overhead(mpx_plan[k].first, spec_vanilla[k]));
+    mpx.mpx_pct.push_back(overhead(mpx_plan[k].second, spec_vanilla[k]));
+  }
 
   std::vector<MemStoreRow> mem_rows;
-  {
-    size_t ci = 0;
-    for (StoreKind store : stores) {
-      std::map<Protection, std::vector<double>> overheads;
-      std::map<Protection, std::vector<double>> store_bytes;
-      for (size_t wi = 0; wi < spec.size(); ++wi) {
-        const double base_mem = static_cast<double>(spec_ms[wi].vanilla_memory_bytes);
-        for (Protection p : overhead_protections) {
-          const CellResult& r = mem_results[ci++];
-          CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-          overheads[p].push_back(
-              cpi::OverheadPercent(static_cast<double>(r.memory_bytes), base_mem));
-          store_bytes[p].push_back(static_cast<double>(r.safe_store_bytes));
-        }
+  for (size_t si = 0; si < stores.size(); ++si) {
+    std::map<Protection, std::vector<double>> overheads;
+    std::map<Protection, std::vector<double>> store_bytes;
+    for (size_t k = 0; k < spec.size(); ++k) {
+      const double base_mem = static_cast<double>(results[spec_vanilla[k]].memory_bytes);
+      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+        const CellResult& r = results[mem_plan[si][k][pi]];
+        CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
+        overheads[overhead_protections[pi]].push_back(
+            cpi::OverheadPercent(static_cast<double>(r.memory_bytes), base_mem));
+        store_bytes[overhead_protections[pi]].push_back(
+            static_cast<double>(r.safe_store_bytes));
       }
-      MemStoreRow row;
-      row.store = store;
-      for (Protection p : overhead_protections) {
-        row.median_overhead_pct[p] = cpi::Median(overheads[p]);
-        row.median_safe_store_bytes[p] = cpi::Median(store_bytes[p]);
-      }
-      mem_rows.push_back(row);
     }
-  }
-  table_wall_ms["mem_overhead"] = mem_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // Fig. 4 (Phoronix) and Table 4 (web server) — their own workload sets,
-  // built once each.
-  Stopwatch fig4_watch;
-  const auto phoronix_ms = cpi::workloads::MeasureWorkloads(
-      cpi::workloads::Phoronix(), overhead_protections, flags.scale, engine_base,
-      flags.jobs);
-  OverheadTable fig4;
-  fig4.columns = overhead_protections;
-  for (const auto& m : phoronix_ms) {
-    fig4.rows.push_back(&m);
-  }
-  table_wall_ms["fig4_phoronix"] = fig4_watch.Ms();
-
-  Stopwatch table4_watch;
-  const auto web_ms = cpi::workloads::MeasureWorkloads(
-      cpi::workloads::WebServer(), overhead_protections, flags.scale, engine_base,
-      flags.jobs);
-  OverheadTable table4;
-  table4.columns = overhead_protections;
-  for (const auto& m : web_ms) {
-    table4.rows.push_back(&m);
-  }
-  table_wall_ms["table4_webserver"] = table4_watch.Ms();
-
-  // Table 4 "concurrent": the same scenarios as multi-worker servers on the
-  // VM's thread scheduler (per-thread safe stacks, shared safe store), plus
-  // the producer/consumer pair. Deterministic at any --jobs value and any
-  // scheduler quantum — the differential tests enforce both.
-  Stopwatch table4c_watch;
-  const auto& mt_workloads = cpi::workloads::ConcurrentServer();
-  const auto mt_built =
-      cpi::workloads::BuildWorkloads(mt_workloads, flags.scale, flags.jobs);
-  const auto mt_views = cpi::workloads::ModuleViews(mt_built);
-  const auto mt_ms = cpi::workloads::MeasureWorkloads(
-      mt_workloads, mt_views, overhead_protections, engine_base, flags.jobs);
-  OverheadTable table4_concurrent;
-  table4_concurrent.columns = overhead_protections;
-  for (const auto& m : mt_ms) {
-    table4_concurrent.rows.push_back(&m);
-  }
-  table_wall_ms["table4_concurrent"] = table4c_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // ablation_shards: the safe-region shard sweep over the event-loop server
-  // plus the concurrent scenarios (the ConcurrentServer builds are shared
-  // with Table 4). S=1 is the historical flat contention model; the sweep
-  // cross-checks that sharding only re-prices accesses (identical
-  // safe-store op counts at every shard count).
-  Stopwatch shards_watch;
-  const std::vector<uint32_t> shard_counts = {1, 2, 4, 8, 16, 64};
-  const auto& ev_workloads = cpi::workloads::EventLoop();
-  const auto ev_built =
-      cpi::workloads::BuildWorkloads(ev_workloads, flags.scale, flags.jobs);
-  std::vector<Workload> shard_workloads = ev_workloads;
-  std::vector<const cpi::ir::Module*> shard_views =
-      cpi::workloads::ModuleViews(ev_built);
-  for (size_t wi = 0; wi < mt_workloads.size(); ++wi) {
-    shard_workloads.push_back(mt_workloads[wi]);
-    shard_views.push_back(mt_views[wi]);
-  }
-  std::vector<MeasureCell> shard_cells;
-  const size_t shard_stride = 1 + shard_counts.size();
-  shard_cells.reserve(shard_workloads.size() * shard_stride);
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    MeasureCell vanilla;
-    vanilla.workload = wi;
-    vanilla.config = engine_base;
-    shard_cells.push_back(vanilla);
-    for (uint32_t shards : shard_counts) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config = engine_base;
-      cell.config.protection = Protection::kCpi;
-      cell.config.shards = shards;
-      shard_cells.push_back(cell);
+    MemStoreRow row;
+    row.store = stores[si];
+    for (Protection p : overhead_protections) {
+      row.median_overhead_pct[p] = cpi::Median(overheads[p]);
+      row.median_safe_store_bytes[p] = cpi::Median(store_bytes[p]);
     }
+    mem_rows.push_back(row);
   }
-  const auto shard_results =
-      cpi::workloads::RunCells(shard_workloads, shard_views, shard_cells, flags.jobs);
 
+  const auto contended_share = [](const CellResult& r) {
+    return r.safe_store_ops == 0 ? 0.0
+                                 : 100.0 * static_cast<double>(r.store_contended_ops) /
+                                       static_cast<double>(r.safe_store_ops);
+  };
   AblationShards shard_ablation;
   shard_ablation.shard_counts = shard_counts;
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    const CellResult& base = shard_results[wi * shard_stride];
-    CPI_CHECK(base.status == cpi::vm::RunStatus::kOk);
-    shard_ablation.workloads.push_back(shard_workloads[wi].name);
+  for (size_t k = 0; k < shard_set.size(); ++k) {
+    const std::vector<size_t>& row = shard_plan[k];
+    shard_ablation.workloads.push_back(workloads[shard_set[k]].name);
     std::vector<double> overheads;
     std::vector<double> contended;
     for (size_t si = 0; si < shard_counts.size(); ++si) {
-      const CellResult& r = shard_results[wi * shard_stride + 1 + si];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(r.safe_store_ops == shard_results[wi * shard_stride + 1].safe_store_ops);
-      overheads.push_back(cpi::OverheadPercent(static_cast<double>(r.cycles),
-                                               static_cast<double>(base.cycles)));
-      contended.push_back(r.safe_store_ops == 0
-                              ? 0.0
-                              : 100.0 * static_cast<double>(r.store_contended_ops) /
-                                    static_cast<double>(r.safe_store_ops));
+      const CellResult& r = results[row[1 + si]];
+      CPI_CHECK(r.safe_store_ops == results[row[1]].safe_store_ops);
+      overheads.push_back(overhead(row[1 + si], row[0]));
+      contended.push_back(contended_share(r));
     }
     shard_ablation.overhead_pct.push_back(std::move(overheads));
     shard_ablation.contended_pct.push_back(std::move(contended));
   }
-  table_wall_ms["ablation_shards"] = shards_watch.Ms();
 
-  // -------------------------------------------------------------------------
-  // ablation_churn: static vs epoch-versioned shard ownership. The churn
-  // server retires and respawns its worker pool so connection cells outlive
-  // the generation that allocated them; the event-loop and concurrent
-  // scenarios ride along (their builds are shared with ablation_shards) to
-  // show migration never charges more than the static table. Per shard
-  // count the sweep runs a static and an epoch (Config::migrate) CPI cell
-  // and cross-checks: identical safe-store op counts, epoch contended ops
-  // <= static, and zero migrations with the flag off.
-  Stopwatch churn_watch;
-  const auto& churn_only = cpi::workloads::ChurnServer();
-  const auto churn_built =
-      cpi::workloads::BuildWorkloads(churn_only, flags.scale, flags.jobs);
-  std::vector<Workload> churn_workloads = churn_only;
-  std::vector<const cpi::ir::Module*> churn_views =
-      cpi::workloads::ModuleViews(churn_built);
-  churn_workloads.reserve(churn_only.size() + shard_workloads.size());
-  churn_views.reserve(churn_only.size() + shard_workloads.size());
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    churn_workloads.push_back(shard_workloads[wi]);
-    churn_views.push_back(shard_views[wi]);
-  }
-  std::vector<MeasureCell> churn_cells;
-  const size_t churn_stride = 1 + 2 * shard_counts.size();
-  churn_cells.reserve(churn_workloads.size() * churn_stride);
-  for (size_t wi = 0; wi < churn_workloads.size(); ++wi) {
-    MeasureCell vanilla;
-    vanilla.workload = wi;
-    vanilla.config = engine_base;
-    churn_cells.push_back(vanilla);
-    for (uint32_t shards : shard_counts) {
-      for (bool migrate : {false, true}) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config = engine_base;
-        cell.config.protection = Protection::kCpi;
-        cell.config.shards = shards;
-        cell.config.migrate = migrate;
-        churn_cells.push_back(cell);
-      }
-    }
-  }
-  const auto churn_results =
-      cpi::workloads::RunCells(churn_workloads, churn_views, churn_cells, flags.jobs);
-
+  // Per shard count the churn reduction cross-checks: identical safe-store
+  // op counts, epoch contended ops <= static, and zero migrations with the
+  // flag off.
   AblationChurn churn_ablation;
   churn_ablation.shard_counts = shard_counts;
-  for (size_t wi = 0; wi < churn_workloads.size(); ++wi) {
-    const CellResult& base = churn_results[wi * churn_stride];
-    CPI_CHECK(base.status == cpi::vm::RunStatus::kOk);
-    churn_ablation.workloads.push_back(churn_workloads[wi].name);
+  for (size_t k = 0; k < churn_set.size(); ++k) {
+    const std::vector<size_t>& row = churn_plan[k];
+    churn_ablation.workloads.push_back(workloads[churn_set[k]].name);
     std::vector<double> st_over, ep_over, st_cont, ep_cont;
     std::vector<uint64_t> migrations;
     for (size_t si = 0; si < shard_counts.size(); ++si) {
-      const CellResult& st = churn_results[wi * churn_stride + 1 + 2 * si];
-      const CellResult& ep = churn_results[wi * churn_stride + 2 + 2 * si];
-      CPI_CHECK(st.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(ep.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(st.safe_store_ops == churn_results[wi * churn_stride + 1].safe_store_ops);
+      const CellResult& st = results[row[1 + 2 * si]];
+      const CellResult& ep = results[row[2 + 2 * si]];
+      CPI_CHECK(st.safe_store_ops == results[row[1]].safe_store_ops);
       CPI_CHECK(ep.safe_store_ops == st.safe_store_ops);
       CPI_CHECK(ep.store_contended_ops <= st.store_contended_ops);
       CPI_CHECK(st.shard_migrations == 0);
-      const double base_cycles = static_cast<double>(base.cycles);
-      const auto contended_share = [](const CellResult& r) {
-        return r.safe_store_ops == 0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(r.store_contended_ops) /
-                         static_cast<double>(r.safe_store_ops);
-      };
-      st_over.push_back(
-          cpi::OverheadPercent(static_cast<double>(st.cycles), base_cycles));
-      ep_over.push_back(
-          cpi::OverheadPercent(static_cast<double>(ep.cycles), base_cycles));
+      st_over.push_back(overhead(row[1 + 2 * si], row[0]));
+      ep_over.push_back(overhead(row[2 + 2 * si], row[0]));
       st_cont.push_back(contended_share(st));
       ep_cont.push_back(contended_share(ep));
       migrations.push_back(ep.shard_migrations);
@@ -581,16 +577,62 @@ int main(int argc, char** argv) {
     churn_ablation.epoch_contended_pct.push_back(std::move(ep_cont));
     churn_ablation.migrations.push_back(std::move(migrations));
   }
-  table_wall_ms["ablation_churn"] = churn_watch.Ms();
+
+  std::vector<CompositeRow> composite_rows;
+  for (size_t ci = 0; ci < composite_schemes.size(); ++ci) {
+    CompositeRow row;
+    row.scheme = composite_schemes[ci];
+    for (size_t k = 0; k < spec.size(); ++k) {
+      row.overhead_pct.push_back(overhead(comp_plan[ci][k], spec_vanilla[k]));
+    }
+    row.avg_overhead_pct = cpi::Mean(row.overhead_pct);
+    composite_rows.push_back(std::move(row));
+  }
+
+  AblationOpt opt_ablation;
+  for (size_t k = 0; k < opt_plan.size(); ++k) {
+    opt_ablation.workloads.push_back(spec[k].name);
+    for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+      const auto& [o0, on] = opt_plan[k][pi];
+      opt_ablation.overhead_pct[overhead_protections[pi]].push_back(
+          {overhead(o0, spec_vanilla[k]), overhead(on, opt_vanilla[k])});
+    }
+  }
+
+  // The optimizer's static CPI instrumentation counts (--opt >= 1), per
+  // workload and aggregated per pass over the SPEC set.
+  std::vector<cpi::core::CompileOutput> opt_counts;
+  std::map<std::string, cpi::opt::PassStats> opt_per_pass;
+  if (flags.opt >= 1) {
+    opt_counts.resize(spec.size());
+    cpi::ThreadPool(flags.jobs).ParallelFor(spec.size(), [&](size_t k) {
+      Config config = opt_config;
+      config.protection = Protection::kCpi;
+      auto clone = cpi::ir::CloneModule(*views[spec_at[k]]);
+      opt_counts[k] = cpi::core::Compiler(config).Instrument(*clone);
+    });
+  }
+  for (const cpi::core::CompileOutput& co : opt_counts) {
+    for (const cpi::opt::PassStats& ps : co.opt.passes) {
+      cpi::opt::PassStats& agg = opt_per_pass[ps.pass];
+      agg.pass = ps.pass;
+      agg.removed_instructions += ps.removed_instructions;
+      agg.eliminated_checks += ps.eliminated_checks;
+      agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
+      agg.eliminated_seal_ops += ps.eliminated_seal_ops;
+      agg.forwarded_loads += ps.forwarded_loads;
+      agg.leaf_ret_elisions += ps.leaf_ret_elisions;
+    }
+  }
 
   // -------------------------------------------------------------------------
-  // §5.1 RIPE matrix (one row per registry RipeRow) and Fig. 5 (defense
-  // rows: matrix verdict + average overhead on the Table-3 subset).
-  // One row per registry RipeRow scheme; `attacks` reports the matrix size
-  // (the per-scheme result count — identical across schemes, since every
-  // scheme runs the same spec list).
-  // `cfi_hijacks`, when given, collects the names of the attacks that still
-  // hijack under CFI (the [19,15,9]-style bypasses).
+  // Attack matrices: §5.1 RIPE (one row per registry RipeRow), the
+  // cross-thread matrix, Fig. 5's verdicts and both matrices per composite
+  // row. `attacks` reports the matrix size (identical across schemes, since
+  // every scheme runs the same spec list); `cfi_hijacks`, when given,
+  // collects the attacks that still hijack under CFI (the [19,15,9]-style
+  // bypasses).
+  const Stopwatch attacks_watch;
   const auto run_ripe_table = [&flags](
       std::vector<cpi::attacks::AttackResult> (*run)(const Config&, int),
       std::vector<RipeRow>* rows, int* attacks, std::vector<std::string>* cfi_hijacks) {
@@ -611,59 +653,22 @@ int main(int argc, char** argv) {
       rows->push_back(row);
     }
   };
-
-  Stopwatch ripe_watch;
   std::vector<RipeRow> ripe_rows;
   int ripe_attacks = 0;
   std::vector<std::string> cfi_hijacks;
   run_ripe_table(&cpi::attacks::RunAttackMatrix, &ripe_rows, &ripe_attacks, &cfi_hijacks);
-  table_wall_ms["ripe_effectiveness"] = ripe_watch.Ms();
 
   // Cross-thread rows: thread A corrupting thread B's saved return address
   // (regular slot) and probing its safe-stack home. A separate table so the
   // historical ripe_effectiveness payload stays byte-identical.
-  Stopwatch ripec_watch;
   std::vector<RipeRow> ripe_concurrent_rows;
   int ripe_concurrent_attacks = 0;
   run_ripe_table(&cpi::attacks::RunCrossThreadMatrix, &ripe_concurrent_rows,
                  &ripe_concurrent_attacks, /*cfi_hijacks=*/nullptr);
-  table_wall_ms["ripe_concurrent"] = ripec_watch.Ms();
-
-  Stopwatch fig5_watch;
-  const std::vector<std::string> fig5_subset = {"401.bzip2", "447.dealII", "458.sjeng",
-                                                "464.h264ref"};
-  std::vector<size_t> fig5_indices;
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const auto& name : fig5_subset) {
-      if (spec[wi].name == name) {
-        fig5_indices.push_back(wi);
-      }
-    }
-  }
-  // Defense rows not covered by the SPEC sweep (cookies, CFI) get their own
-  // cells against the shared subset builds.
-  const auto defense_rows = cpi::core::SchemeRegistry::DefenseRows();
-  std::vector<Protection> extra_protections;
-  for (const ProtectionScheme* s : defense_rows) {
-    bool covered = false;
-    for (Protection p : spec_protections) {
-      covered = covered || p == s->id();
-    }
-    if (!covered) {
-      extra_protections.push_back(s->id());
-    }
-  }
-  std::vector<Workload> subset_workloads;
-  std::vector<const cpi::ir::Module*> subset_views;
-  for (size_t wi : fig5_indices) {
-    subset_workloads.push_back(spec[wi]);
-    subset_views.push_back(spec_views[wi]);
-  }
-  const auto subset_ms = cpi::workloads::MeasureWorkloads(
-      subset_workloads, subset_views, extra_protections, engine_base, flags.jobs);
 
   std::vector<Fig5Row> fig5_rows;
-  for (const ProtectionScheme* s : defense_rows) {
+  for (size_t di = 0; di < defense_rows.size(); ++di) {
+    const ProtectionScheme* s = defense_rows[di];
     Fig5Row row;
     row.scheme = s;
     // Matrix verdict: reuse the RIPE rows where possible (every built-in
@@ -690,10 +695,7 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<double> overheads;
-    const bool from_spec =
-        std::count(spec_protections.begin(), spec_protections.end(), s->id()) > 0;
-    for (size_t k = 0; k < fig5_indices.size(); ++k) {
-      const Measurement& m = from_spec ? spec_ms[fig5_indices[k]] : subset_ms[k];
+    for (const Measurement& m : fig5_ms) {
       if (m.status.at(s->id()) != cpi::vm::RunStatus::kOk) {
         row.some_fail = true;
         continue;
@@ -706,138 +708,28 @@ int main(int argc, char** argv) {
     }
     fig5_rows.push_back(row);
   }
-  table_wall_ms["fig5_defense_matrix"] = fig5_watch.Ms();
 
-  // -------------------------------------------------------------------------
-  // table_composites: the composable-scheme evaluation
-  // (SchemeRegistry::CompositeTableRows — ptrenc-ret-chain and the
-  // registered composites). Cells select by Config::scheme, since a
-  // composite has no Protection id of its own; overheads reuse the shared
-  // SPEC sweep's vanilla baselines, and both attack matrices run per row. A
-  // separate table so every frozen single-scheme table stays byte-identical
-  // (deleting it recovers the BENCH_pr9.json payload).
-  Stopwatch comp_watch;
-  const auto composite_schemes = cpi::core::SchemeRegistry::CompositeTableRows();
-  std::vector<MeasureCell> comp_cells;
-  comp_cells.reserve(spec.size() * composite_schemes.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const ProtectionScheme* s : composite_schemes) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config.protection = s->id();
-      cell.config.scheme = s;
-      cell.config.engine = flags.engine;
-      comp_cells.push_back(cell);
-    }
-  }
-  const auto comp_results = cpi::workloads::RunCells(spec, spec_views, comp_cells, flags.jobs);
-
-  std::vector<CompositeRow> composite_rows;
-  for (size_t si = 0; si < composite_schemes.size(); ++si) {
-    const ProtectionScheme* s = composite_schemes[si];
-    CompositeRow row;
-    row.scheme = s;
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      const CellResult& r = comp_results[wi * composite_schemes.size() + si];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      row.overhead_pct.push_back(cpi::OverheadPercent(
-          static_cast<double>(r.cycles), static_cast<double>(spec_ms[wi].vanilla_cycles)));
-    }
-    row.avg_overhead_pct = cpi::Mean(row.overhead_pct);
-
+  for (CompositeRow& row : composite_rows) {
     Config config;
-    config.protection = s->id();
-    config.scheme = s;
+    config.protection = row.scheme->id();
+    config.scheme = row.scheme;
     config.engine = flags.engine;
-    row.ripe.scheme = s;
+    row.ripe.scheme = row.scheme;
     for (const auto& r : cpi::attacks::RunAttackMatrix(config, flags.jobs)) {
       ++row.ripe.counts[static_cast<int>(r.outcome)];
       if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
         ++row.ripe_auth_aborts;
       }
     }
-    row.ripe_concurrent.scheme = s;
+    row.ripe_concurrent.scheme = row.scheme;
     for (const auto& r : cpi::attacks::RunCrossThreadMatrix(config, flags.jobs)) {
       ++row.ripe_concurrent.counts[static_cast<int>(r.outcome)];
       if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
         ++row.ripec_auth_aborts;
       }
     }
-    composite_rows.push_back(std::move(row));
   }
-  table_wall_ms["table_composites"] = comp_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // ablation_opt (--opt >= 1 only): per-scheme overhead with the
-  // post-instrumentation optimizer off and on. The standard tables above
-  // always run at O0 — they are the paper baselines and stay byte-identical
-  // at any --opt value; this table adds the O1 cells (overheads at each
-  // level are computed against the same-level vanilla baseline). The O0
-  // column is reused from the shared SPEC sweep. Alongside it, the static
-  // CPI instrumentation counts before/after the optimizer, per workload and
-  // (aggregated over the SPEC set) per pass.
-  AblationOpt opt_ablation;
-  std::vector<cpi::core::CompileOutput> opt_counts(spec.size());
-  std::map<std::string, cpi::opt::PassStats> opt_per_pass;
-  if (flags.opt >= 1) {
-    Stopwatch opt_watch;
-    cpi::ThreadPool pool(flags.jobs);
-    pool.ParallelFor(spec.size(), [&](size_t wi) {
-      Config config;
-      config.protection = Protection::kCpi;
-      config.opt_level = flags.opt;
-      auto clone = cpi::ir::CloneModule(*spec_views[wi]);
-      opt_counts[wi] = cpi::core::Compiler(config).Instrument(*clone);
-    });
-    for (const cpi::core::CompileOutput& co : opt_counts) {
-      for (const cpi::opt::PassStats& ps : co.opt.passes) {
-        cpi::opt::PassStats& agg = opt_per_pass[ps.pass];
-        agg.pass = ps.pass;
-        agg.removed_instructions += ps.removed_instructions;
-        agg.eliminated_checks += ps.eliminated_checks;
-        agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
-        agg.eliminated_seal_ops += ps.eliminated_seal_ops;
-        agg.forwarded_loads += ps.forwarded_loads;
-        agg.leaf_ret_elisions += ps.leaf_ret_elisions;
-      }
-    }
-
-    std::vector<MeasureCell> opt_cells;
-    const size_t opt_stride = 1 + overhead_protections.size();
-    opt_cells.reserve(spec.size() * opt_stride);
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      MeasureCell vanilla;
-      vanilla.workload = wi;
-      vanilla.config.opt_level = flags.opt;
-      vanilla.config.engine = flags.engine;
-      opt_cells.push_back(vanilla);
-      for (Protection p : overhead_protections) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config.protection = p;
-        cell.config.opt_level = flags.opt;
-        cell.config.engine = flags.engine;
-        opt_cells.push_back(cell);
-      }
-    }
-    const auto opt_results =
-        cpi::workloads::RunCells(spec, spec_views, opt_cells, flags.jobs);
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      opt_ablation.workloads.push_back(spec[wi].name);
-      const CellResult& vanilla = opt_results[wi * opt_stride];
-      CPI_CHECK(vanilla.status == cpi::vm::RunStatus::kOk);
-      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-        const Protection p = overhead_protections[pi];
-        const CellResult& r = opt_results[wi * opt_stride + 1 + pi];
-        CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-        opt_ablation.overhead_pct[p].push_back(
-            {spec_ms[wi].OverheadPct(p),
-             cpi::OverheadPercent(static_cast<double>(r.cycles),
-                                  static_cast<double>(vanilla.cycles))});
-      }
-    }
-    table_wall_ms["ablation_opt"] = opt_watch.Ms();
-  }
+  const double attacks_ms = attacks_watch.Ms();
 
   const double wall_ms = total.Ms();
 
@@ -866,7 +758,7 @@ int main(int argc, char** argv) {
   audit("fig4_phoronix", phoronix_ms);
   audit("table4_webserver", web_ms);
   audit("table4_concurrent", mt_ms);
-  audit("fig5_subset", subset_ms);
+  audit("fig5_subset", fig5_ms);
   if (unexpected_failures != 0) {
     std::fprintf(stderr, "suite: %d unexpected cell failure(s); exiting non-zero\n",
                  unexpected_failures);
@@ -877,16 +769,11 @@ int main(int argc, char** argv) {
   // JSON report.
   if (flags.json) {
     std::printf("{\"bench\":\"suite\",\"scale\":%d,\"jobs\":%d,"
-                "\"hardware_concurrency\":%d,\"wall_ms\":%.1f,\"table_wall_ms\":{",
-                flags.scale, flags.jobs, cpi::ThreadPool::DefaultJobs(), wall_ms);
-    {
-      bool first = true;
-      for (const auto& [name, ms] : table_wall_ms) {
-        std::printf("%s\"%s\":%.1f", first ? "" : ",", name.c_str(), ms);
-        first = false;
-      }
-    }
-    std::printf("},\"tables\":{");
+                "\"hardware_concurrency\":%d,\"wall_ms\":%.1f,\"build_ms\":%.1f,"
+                "\"cells_ms\":%.1f,\"attacks_ms\":%.1f,\"cells\":%zu,\"unique_cells\":%zu,"
+                "\"tables\":{",
+                flags.scale, flags.jobs, cpi::ThreadPool::DefaultJobs(), wall_ms, build_ms,
+                cells_ms, attacks_ms, cells.size(), unique_cells);
 
     std::printf("\"table1_spec_overhead\":");
     JsonOverheadTable(table1, /*lang=*/true, /*fails=*/false);
@@ -1555,9 +1442,10 @@ int main(int argc, char** argv) {
   if (flags.timing) {
     std::printf("wall-clock: %.1f ms total (scale %d, jobs %d)\n", wall_ms, flags.scale,
                 flags.jobs);
-    for (const auto& [name, ms] : table_wall_ms) {
-      std::printf("  %-22s %8.1f ms\n", name.c_str(), ms);
-    }
+    std::printf("  build    %8.1f ms\n", build_ms);
+    std::printf("  cells    %8.1f ms  (%zu submitted, %zu unique)\n", cells_ms, cells.size(),
+                unique_cells);
+    std::printf("  attacks  %8.1f ms\n", attacks_ms);
   }
   return exit_code;
 }

@@ -18,6 +18,7 @@
 #define CPI_SRC_CORE_LEVEE_H_
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/analysis/classify.h"
@@ -101,6 +102,19 @@ struct Config {
   // host.
   const vm::FaultPlan* faults = nullptr;
 };
+
+// Config identity: every field, in declaration order. Two Configs with equal
+// fields compile and run identically, which is what lets
+// workloads::RunCells run a repeated (workload, Config) cell once. A new
+// field changes sizeof(Config) and fails the assert until it is listed here
+// (and in perfbench/cells.cc's ConfigKey, which counts repeated cells).
+inline auto ConfigFields(const Config& c) {
+  return std::tie(c.protection, c.scheme, c.store, c.isolation, c.shards, c.migrate,
+                  c.debug_mode, c.temporal, c.char_star_heuristic, c.cast_dataflow,
+                  c.mpx_assist, c.engine, c.reference_interpreter, c.opt_level,
+                  c.thread_quantum, c.max_steps, c.seed, c.faults);
+}
+static_assert(sizeof(Config) == 72, "new Config field: add it to ConfigFields");
 
 // Static compilation statistics — Table 2's columns for this module, plus
 // the optimizer's per-pass report when opt_level > 0.

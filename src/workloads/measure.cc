@@ -1,6 +1,8 @@
 #include "src/workloads/measure.h"
 
 #include <cstdio>
+#include <set>
+#include <tuple>
 
 #include "src/ir/clone.h"
 #include "src/support/check.h"
@@ -58,79 +60,94 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
   return out;
 }
 
+namespace {
+
+// For each cell, the position of the first cell with the same content.
+std::vector<size_t> FirstOccurrences(const std::vector<MeasureCell>& cells) {
+  const auto less = [&cells](size_t a, size_t b) {
+    return std::tuple_cat(std::tie(cells[a].workload), core::ConfigFields(cells[a].config)) <
+           std::tuple_cat(std::tie(cells[b].workload), core::ConfigFields(cells[b].config));
+  };
+  std::set<size_t, decltype(less)> seen(less);
+  std::vector<size_t> first(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    first[i] = *seen.insert(i).first;
+  }
+  return first;
+}
+
+}  // namespace
+
 std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
                                  const std::vector<const ir::Module*>& built,
                                  const std::vector<MeasureCell>& cells, int jobs) {
   CPI_CHECK(workloads.size() == built.size());
+  const std::vector<size_t> first = FirstOccurrences(cells);
   std::vector<CellResult> results(cells.size());
   ThreadPool pool(jobs);
   pool.ParallelFor(cells.size(), [&](size_t i) {
+    if (first[i] != i) {
+      return;  // a repeat: copied from its first occurrence below
+    }
     const MeasureCell& cell = cells[i];
     CPI_CHECK(cell.workload < built.size());
     results[i] = RunCell(*built[cell.workload], workloads[cell.workload], cell);
   });
+  for (size_t i = 0; i < cells.size(); ++i) {
+    results[i] = results[first[i]];
+  }
   return results;
 }
 
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<const ir::Module*>& built,
-                                          const std::vector<core::Protection>& protections,
-                                          const core::Config& base, int jobs) {
-  // Cell order: per workload, the vanilla baseline then each protection
-  // column. The reduction below consumes results in exactly this order, so
-  // the Measurement vector is independent of how the pool interleaved them.
-  const size_t stride = 1 + protections.size();
-  std::vector<MeasureCell> cells;
-  cells.reserve(workloads.size() * stride);
-  for (size_t wi = 0; wi < workloads.size(); ++wi) {
-    MeasureCell vanilla;
-    vanilla.workload = wi;
-    vanilla.config = base;
-    vanilla.config.protection = core::Protection::kNone;
-    cells.push_back(vanilla);
-    for (core::Protection p : protections) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config = base;
-      cell.config.protection = p;
-      cells.push_back(cell);
-    }
+size_t UniqueCells(const std::vector<MeasureCell>& cells) {
+  const std::vector<size_t> first = FirstOccurrences(cells);
+  size_t n = 0;
+  for (size_t i = 0; i < first.size(); ++i) {
+    n += first[i] == i;
   }
-
-  const std::vector<CellResult> results = RunCells(workloads, built, cells, jobs);
-
-  std::vector<Measurement> out;
-  out.reserve(workloads.size());
-  for (size_t wi = 0; wi < workloads.size(); ++wi) {
-    const CellResult& vanilla = results[wi * stride];
-    CPI_CHECK(vanilla.status == vm::RunStatus::kOk);
-    Measurement m;
-    m.workload = workloads[wi].name;
-    m.language = workloads[wi].language;
-    m.stats = vanilla.stats;
-    m.vanilla_cycles = vanilla.cycles;
-    m.vanilla_memory_bytes = vanilla.memory_bytes;
-    for (size_t pi = 0; pi < protections.size(); ++pi) {
-      const core::Protection p = protections[pi];
-      const CellResult& r = results[wi * stride + 1 + pi];
-      m.status[p] = r.status;
-      if (r.status != vm::RunStatus::kOk) {
-        continue;
-      }
-      m.overhead_pct[p] = OverheadPercent(static_cast<double>(r.cycles),
-                                          static_cast<double>(m.vanilla_cycles));
-      m.memory_bytes[p] = r.memory_bytes;
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
+  return n;
 }
 
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<core::Protection>& protections,
-                                          int scale, const core::Config& base, int jobs) {
-  const auto built = BuildWorkloads(workloads, scale, jobs);
-  return MeasureWorkloads(workloads, ModuleViews(built), protections, base, jobs);
+MeasurementCells AddMeasurementCells(std::vector<MeasureCell>& cells, size_t workload,
+                                     const std::vector<core::Protection>& protections,
+                                     const core::Config& base) {
+  MeasurementCells at;
+  at.workload = workload;
+  MeasureCell cell;
+  cell.workload = workload;
+  cell.config = base;
+  cell.config.protection = core::Protection::kNone;
+  at.vanilla = cells.size();
+  cells.push_back(cell);
+  for (core::Protection p : protections) {
+    cell.config.protection = p;
+    at.columns.emplace_back(p, cells.size());
+    cells.push_back(cell);
+  }
+  return at;
+}
+
+Measurement ReduceMeasurement(const Workload& workload, const MeasurementCells& at,
+                              const std::vector<CellResult>& results) {
+  const CellResult& vanilla = results[at.vanilla];
+  CPI_CHECK(vanilla.status == vm::RunStatus::kOk);
+  Measurement m;
+  m.workload = workload.name;
+  m.language = workload.language;
+  m.stats = vanilla.stats;
+  m.vanilla_cycles = vanilla.cycles;
+  m.vanilla_memory_bytes = vanilla.memory_bytes;
+  for (const auto& [p, i] : at.columns) {
+    const CellResult& r = results[i];
+    m.status[p] = r.status;
+    if (r.status != vm::RunStatus::kOk) {
+      continue;
+    }
+    m.overhead_pct[p] = OverheadPercent(static_cast<double>(r.cycles),
+                                        static_cast<double>(m.vanilla_cycles));
+    m.memory_bytes[p] = r.memory_bytes;
+  }
+  return m;
 }
 
 std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,

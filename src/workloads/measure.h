@@ -8,16 +8,23 @@
 // independent by construction (ir::CloneModule gives every cell its own
 // module and VM), so RunCells executes them across a work-stealing thread
 // pool (src/support/pool.h) and writes each result into its own slot — the
-// reduction that follows consumes results in cell order, which makes every
-// derived Measurement bit-identical at any `jobs` value. That invariant is
+// reductions that follow read results by cell position, which makes every
+// derived number bit-identical at any `jobs` value. That invariant is
 // enforced by the serial-vs-parallel differential test in
 // tests/measure_test.cc.
+//
+// RunCells is content-addressed: a (workload, Config) pair requested twice
+// runs once. The suite therefore plans every table as a list of the cells
+// it needs, concatenates the lists, and runs them in one RunCells pass; a
+// cell shared by several tables (Table 1's CPI column is also the
+// isolation ablation's "segment" column) is simply requested by each.
 #ifndef CPI_SRC_WORKLOADS_MEASURE_H_
 #define CPI_SRC_WORKLOADS_MEASURE_H_
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/levee.h"
@@ -87,24 +94,36 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
                    const MeasureCell& cell);
 
 // Executes `cells` across `jobs` threads. Results come back indexed like
-// `cells`, regardless of the execution interleaving.
+// `cells`, regardless of the execution interleaving. Cells are addressed by
+// content: within one call, cells with equal (workload, core::ConfigFields)
+// run once and every position gets that one result, so callers may request
+// a cell as often as their tables need it.
 std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
                                  const std::vector<const ir::Module*>& built,
                                  const std::vector<MeasureCell>& cells, int jobs = 1);
 
-// Runs every workload under vanilla plus each protection in `protections`,
-// using `base` for all other configuration knobs, across `jobs` threads.
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<core::Protection>& protections,
-                                          int scale, const core::Config& base = {},
-                                          int jobs = 1);
+// How many cells of `cells` RunCells actually runs.
+size_t UniqueCells(const std::vector<MeasureCell>& cells);
 
-// Same, against pre-built base modules (the suite driver shares one
-// BuildWorkloads result across every table).
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<const ir::Module*>& built,
-                                          const std::vector<core::Protection>& protections,
-                                          const core::Config& base = {}, int jobs = 1);
+// Positions, in a RunCells cell list, of the cells behind one Measurement:
+// the workload's vanilla baseline and one cell per protection column.
+struct MeasurementCells {
+  size_t workload = 0;
+  size_t vanilla = 0;
+  std::vector<std::pair<core::Protection, size_t>> columns;
+};
+
+// Appends `workload`'s vanilla cell and one cell per protection, each under
+// `base` with only the protection changed, to `cells`.
+MeasurementCells AddMeasurementCells(std::vector<MeasureCell>& cells, size_t workload,
+                                     const std::vector<core::Protection>& protections,
+                                     const core::Config& base = {});
+
+// Reduces those cells' results (indexed like the RunCells cell list) to a
+// Measurement. The vanilla run must complete; failing columns are recorded
+// in `status` instead of aborting.
+Measurement ReduceMeasurement(const Workload& workload, const MeasurementCells& at,
+                              const std::vector<CellResult>& results);
 
 // Column of overhead values for one protection, in workload order.
 std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
@@ -116,7 +135,7 @@ std::vector<double> OverheadColumnForLanguage(const std::vector<Measurement>& me
                                               const std::string& language);
 
 // The registry schemes that report an overhead column (Table 1 / Fig. 4 /
-// Table 4 / §5.2 shape), as the protection list MeasureWorkloads consumes.
+// Table 4 / §5.2 shape), as a protection list for AddMeasurementCells.
 std::vector<core::Protection> OverheadProtections();
 
 }  // namespace cpi::workloads

@@ -1,14 +1,19 @@
 // Tests for the parallel measurement harness: the work-stealing thread pool
-// (src/support/pool.h) and the cell-based MeasureWorkloads
-// (src/workloads/measure.h).
+// (src/support/pool.h) and the content-addressed RunCells with its
+// Measurement reduction (src/workloads/measure.h).
 //
 // The load-bearing property is the serial-vs-parallel differential: every
 // Measurement field must be bit-identical between --jobs 1 (strictly
 // serial, no worker threads) and --jobs N. The bench suite
 // relies on it — parallelism may only change wall-clock, never a number.
+// Content addressing must be invisible the same way: a repeated cell gets
+// exactly the result it would get alone, and cells differing in any one
+// Config field stay apart.
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +25,10 @@
 namespace {
 
 using cpi::ThreadPool;
+using cpi::core::Config;
 using cpi::core::Protection;
+using cpi::workloads::CellResult;
+using cpi::workloads::MeasureCell;
 using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
 
@@ -164,15 +172,37 @@ void ExpectIdentical(const std::vector<Measurement>& a, const std::vector<Measur
   }
 }
 
+// Vanilla plus one cell per protection, at the default Config, for every
+// workload: one RunCells pass, reduced per workload.
+std::vector<Measurement> Measure(const std::vector<Workload>& workloads,
+                                 const std::vector<const cpi::ir::Module*>& built,
+                                 const std::vector<Protection>& protections, int jobs) {
+  std::vector<MeasureCell> cells;
+  std::vector<cpi::workloads::MeasurementCells> plan;
+  for (size_t wi = 0; wi < workloads.size(); ++wi) {
+    plan.push_back(cpi::workloads::AddMeasurementCells(cells, wi, protections));
+  }
+  const auto results = cpi::workloads::RunCells(workloads, built, cells, jobs);
+  std::vector<Measurement> out;
+  for (const auto& at : plan) {
+    out.push_back(cpi::workloads::ReduceMeasurement(workloads[at.workload], at, results));
+  }
+  return out;
+}
+
+std::vector<Measurement> MeasureFresh(const std::vector<Workload>& workloads,
+                                      const std::vector<Protection>& protections, int jobs) {
+  const auto built = cpi::workloads::BuildWorkloads(workloads, /*scale=*/1, jobs);
+  return Measure(workloads, cpi::workloads::ModuleViews(built), protections, jobs);
+}
+
 TEST(MeasureDifferentialTest, SerialAndParallelMeasurementsAreBitIdentical) {
   std::vector<Workload> subset;
   subset = Subset();
   ASSERT_FALSE(subset.empty());
   const auto protections = cpi::workloads::OverheadProtections();
-  const auto serial = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                       {}, /*jobs=*/1);
-  const auto parallel = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                         {}, /*jobs=*/4);
+  const auto serial = MeasureFresh(subset, protections, /*jobs=*/1);
+  const auto parallel = MeasureFresh(subset, protections, /*jobs=*/4);
   ExpectIdentical(serial, parallel);
 }
 
@@ -184,10 +214,9 @@ TEST(MeasureDifferentialTest, SharedPrebuiltModulesMatchFreshBuilds) {
   ASSERT_FALSE(subset.empty());
   const auto protections = cpi::workloads::OverheadProtections();
   const auto built = cpi::workloads::BuildWorkloads(subset, /*scale=*/1, /*jobs=*/4);
-  const auto shared = cpi::workloads::MeasureWorkloads(
-      subset, cpi::workloads::ModuleViews(built), protections, {}, /*jobs=*/4);
-  const auto fresh = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                      {}, /*jobs=*/1);
+  const auto shared =
+      Measure(subset, cpi::workloads::ModuleViews(built), protections, /*jobs=*/4);
+  const auto fresh = MeasureFresh(subset, protections, /*jobs=*/1);
   ExpectIdentical(shared, fresh);
 }
 
@@ -198,13 +227,142 @@ TEST(MeasureDifferentialTest, FailingColumnsAreReportedNotFatal) {
   subset = Subset();
   ASSERT_FALSE(subset.empty());
   const std::vector<Protection> protections = {Protection::kSoftBound};
-  const auto ms =
-      cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1, {}, /*jobs=*/2);
+  const auto ms = MeasureFresh(subset, protections, /*jobs=*/2);
   for (const auto& m : ms) {
     ASSERT_EQ(m.status.count(Protection::kSoftBound), 1u);
     const bool ok = m.status.at(Protection::kSoftBound) == cpi::vm::RunStatus::kOk;
     EXPECT_EQ(m.overhead_pct.count(Protection::kSoftBound), ok ? 1u : 0u);
     EXPECT_EQ(m.memory_bytes.count(Protection::kSoftBound), ok ? 1u : 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Content addressing.
+
+void ExpectSameResult(const CellResult& a, const CellResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.safe_store_bytes, b.safe_store_bytes);
+  EXPECT_EQ(a.safe_store_ops, b.safe_store_ops);
+  EXPECT_EQ(a.store_contended_ops, b.store_contended_ops);
+  EXPECT_EQ(a.shard_migrations, b.shard_migrations);
+  EXPECT_EQ(a.stats.total_functions, b.stats.total_functions);
+  EXPECT_EQ(a.stats.unsafe_frame_functions, b.stats.unsafe_frame_functions);
+  EXPECT_EQ(a.stats.total_mem_ops, b.stats.total_mem_ops);
+  EXPECT_EQ(a.stats.instrumented_cpi, b.stats.instrumented_cpi);
+  EXPECT_EQ(a.stats.instrumented_cps, b.stats.instrumented_cps);
+}
+
+// One SPEC model and one threaded server (so shards, migrate and the
+// scheduler matter), built once.
+struct CellFixture {
+  std::vector<Workload> workloads = {*cpi::workloads::FindWorkload("403.gcc"),
+                                     cpi::workloads::ChurnServer().front()};
+  std::vector<std::unique_ptr<cpi::ir::Module>> built =
+      cpi::workloads::BuildWorkloads(workloads, /*scale=*/1);
+  std::vector<const cpi::ir::Module*> views = cpi::workloads::ModuleViews(built);
+
+  CellResult Alone(const MeasureCell& cell) const {
+    return cpi::workloads::RunCell(*views[cell.workload], workloads[cell.workload], cell);
+  }
+};
+
+MeasureCell Cell(size_t workload, Protection p) {
+  MeasureCell cell;
+  cell.workload = workload;
+  cell.config.protection = p;
+  return cell;
+}
+
+// A list that names several cells more than once, interleaved.
+std::vector<MeasureCell> CellsWithRepeats() {
+  std::vector<MeasureCell> cells;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t wi : {0u, 1u}) {
+      for (Protection p : {Protection::kNone, Protection::kCpi, Protection::kSafeStack}) {
+        if (round == 0 || p != Protection::kSafeStack) {
+          cells.push_back(Cell(wi, p));
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+TEST(MeasureDifferentialTest, RepeatedCellsGetTheLoneCellResult) {
+  const CellFixture f;
+  const auto cells = CellsWithRepeats();
+  ASSERT_EQ(cpi::workloads::UniqueCells(cells), 6u);
+  ASSERT_LT(cpi::workloads::UniqueCells(cells), cells.size());
+  const auto results = cpi::workloads::RunCells(f.workloads, f.views, cells, /*jobs=*/2);
+  ASSERT_EQ(results.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    ExpectSameResult(results[i], f.Alone(cells[i]));
+  }
+}
+
+TEST(MeasureDifferentialTest, CellsDifferingInOneFieldStayApart) {
+  const CellFixture f;
+  // Two CPI base cells: the SPEC model, and the threaded server at 4 shards
+  // (so migration has owners to move). Each variant changes exactly one
+  // field of one base, chosen so the change moves a counter: merging it
+  // into its base would show. Two variants are their own cells but leave
+  // every counter as it was: `temporal` only adds liveness checks, which
+  // cost nothing on a clean run, and `scheme` selects the same built-in CPI
+  // by pointer instead of by id.
+  const MeasureCell spec = Cell(0, Protection::kCpi);
+  MeasureCell server = Cell(1, Protection::kCpi);
+  server.config.shards = 4;
+  struct Variant {
+    const char* field;
+    MeasureCell base;
+    void (*change)(Config&);
+  };
+  const Variant variants[] = {
+      {"store", server, [](Config& c) { c.store = cpi::runtime::StoreKind::kHash; }},
+      {"isolation", server, [](Config& c) { c.isolation = cpi::runtime::IsolationKind::kSfi; }},
+      {"shards", server, [](Config& c) { c.shards = 16; }},
+      {"migrate", server, [](Config& c) { c.migrate = true; }},
+      {"mpx_assist", server, [](Config& c) { c.mpx_assist = true; }},
+      {"opt_level", spec, [](Config& c) { c.opt_level = 1; }},
+      {"temporal", spec, [](Config& c) { c.temporal = true; }},
+      {"scheme", spec,
+       [](Config& c) { c.scheme = &cpi::core::SchemeRegistry::Get(Protection::kCpi); }},
+  };
+  std::vector<MeasureCell> cells = {spec, server};
+  for (const Variant& v : variants) {
+    MeasureCell cell = v.base;
+    v.change(cell.config);
+    cells.push_back(cell);
+  }
+  EXPECT_EQ(cpi::workloads::UniqueCells(cells), cells.size());
+  const auto results = cpi::workloads::RunCells(f.workloads, f.views, cells, /*jobs=*/2);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(i < 2 ? "base" : variants[i - 2].field);
+    ExpectSameResult(results[i], f.Alone(cells[i]));
+  }
+  for (size_t i = 2; i < cells.size(); ++i) {
+    SCOPED_TRACE(variants[i - 2].field);
+    const CellResult& base = results[cells[i].workload == 0 ? 0 : 1];
+    const bool moved = results[i].cycles != base.cycles ||
+                       results[i].store_contended_ops != base.store_contended_ops ||
+                       results[i].shard_migrations != base.shard_migrations;
+    const std::string field = variants[i - 2].field;
+    EXPECT_EQ(moved, field != "temporal" && field != "scheme");
+  }
+}
+
+TEST(MeasureDifferentialTest, SerialAndParallelAgreeWithRepeats) {
+  const CellFixture f;
+  const auto cells = CellsWithRepeats();
+  const auto serial = cpi::workloads::RunCells(f.workloads, f.views, cells, /*jobs=*/1);
+  const auto parallel = cpi::workloads::RunCells(f.workloads, f.views, cells, /*jobs=*/4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    ExpectSameResult(serial[i], parallel[i]);
   }
 }
 

@@ -643,8 +643,23 @@ TEST(OptDifferentialTest, SerialAndParallelHarnessAgreeAtO1) {
   Config base;
   base.opt_level = 1;
   const std::vector<Protection> protections = {Protection::kCpi, Protection::kPtrEnc};
-  const auto serial = workloads::MeasureWorkloads(subset, protections, 1, base, 1);
-  const auto parallel = workloads::MeasureWorkloads(subset, protections, 1, base, 2);
+  const auto measure = [&](int jobs) {
+    const auto built = workloads::BuildWorkloads(subset, 1, jobs);
+    std::vector<workloads::MeasureCell> cells;
+    std::vector<workloads::MeasurementCells> plan;
+    for (size_t wi = 0; wi < subset.size(); ++wi) {
+      plan.push_back(workloads::AddMeasurementCells(cells, wi, protections, base));
+    }
+    const auto results =
+        workloads::RunCells(subset, workloads::ModuleViews(built), cells, jobs);
+    std::vector<workloads::Measurement> ms;
+    for (const auto& at : plan) {
+      ms.push_back(workloads::ReduceMeasurement(subset[at.workload], at, results));
+    }
+    return ms;
+  };
+  const auto serial = measure(1);
+  const auto parallel = measure(2);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].vanilla_cycles, parallel[i].vanilla_cycles);

@@ -1,4 +1,4 @@
-// CLI parsing for bench/suite.
+// CLI parsing for bench/suite (bench/fuzz reuses the number parsers).
 //
 //   --json       one machine-readable JSON report
 //   --time       print the wall-clock split (build / cells / attacks)
@@ -19,6 +19,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,21 +45,36 @@ inline void PrintUsage(const char* argv0) {
                argv0);
 }
 
-[[noreturn]] inline void Reject(const char* argv0, const char* flag, const char* value) {
+// Prints the usage line of the program whose flags are being parsed.
+using UsageFn = void (*)(const char* argv0);
+
+[[noreturn]] inline void Reject(const char* argv0, const char* flag, const char* value,
+                                UsageFn usage = PrintUsage) {
   std::fprintf(stderr, "invalid %s: %s\n", flag, value);
-  PrintUsage(argv0);
+  usage(argv0);
   std::exit(2);
 }
 
-// A whole decimal count >= `min`; anything else ("foo", "-3", "2x", "")
-// exits 2 with usage rather than running under a guessed value.
-inline int ParseCount(const char* argv0, const char* flag, const char* value, int min) {
+// A whole decimal number >= `min`; anything else ("foo", "-3", "2x", "",
+// out of range) exits 2 with usage rather than running under a guessed value.
+inline uint64_t ParseU64(const char* argv0, const char* flag, const char* value, uint64_t min,
+                         UsageFn usage = PrintUsage) {
   char* end = nullptr;
   errno = 0;
-  const long v = std::strtol(value, &end, 10);
+  const unsigned long long v = std::strtoull(value, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
-      errno == ERANGE || v < min || v > INT_MAX) {
-    Reject(argv0, flag, value);
+      errno == ERANGE || v < min) {
+    Reject(argv0, flag, value, usage);
+  }
+  return v;
+}
+
+// ParseU64 for counts that must also fit an int.
+inline int ParseCount(const char* argv0, const char* flag, const char* value, int min,
+                      UsageFn usage = PrintUsage) {
+  const uint64_t v = ParseU64(argv0, flag, value, static_cast<uint64_t>(min), usage);
+  if (v > INT_MAX) {
+    Reject(argv0, flag, value, usage);
   }
   return static_cast<int>(v);
 }

@@ -11,12 +11,13 @@
 // exact repro command.
 //
 // This driver parses its own flags (the campaign surface is disjoint from
-// the suite's bench/flags.h).
+// the suite's); its numbers go through bench/flags.h's ParseCount/ParseU64,
+// so a malformed or out-of-range value exits 2 with usage.
 //
-//   --cases N        programs to generate (default 100)
+//   --cases N        programs to generate, >= 1 (default 100)
 //   --seed S         base seed; case i uses seed S+i (default 1)
 //   --jobs N         parallel cases; 0 = hardware concurrency (default 0)
-//   --max-steps N    per-cell step budget (default 2000000)
+//   --max-steps N    per-cell step budget, >= 1 (default 2000000)
 //   --corpus-dir D   where failures and self-test entries are written
 //   --replay FILE    replay one corpus entry instead of a campaign
 //   --inject N       arm the self-test divergence at oracle-instruction
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/flags.h"
 #include "src/core/scheme.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/differential.h"
@@ -69,28 +71,26 @@ void PrintUsage(const char* argv0) {
 FuzzFlags ParseFlags(int argc, char** argv) {
   FuzzFlags flags;
   for (int i = 1; i < argc; ++i) {
-    auto value = [&](uint64_t* out) {
+    // The value after flag argv[i]; a missing one exits 2.
+    auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", argv[i]);
         PrintUsage(argv[0]);
         std::exit(2);
       }
-      *out = std::strtoull(argv[++i], nullptr, 10);
+      return argv[++i];
     };
-    if (std::strcmp(argv[i], "--cases") == 0) {
-      uint64_t v = 0;
-      value(&v);
-      flags.cases = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      value(&flags.seed);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      uint64_t v = 0;
-      value(&v);
-      flags.jobs = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--max-steps") == 0) {
-      value(&flags.max_steps);
-    } else if (std::strcmp(argv[i], "--inject") == 0) {
-      value(&flags.inject);
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--cases") == 0) {
+      flags.cases = bench::ParseCount(argv[0], flag, value(), /*min=*/1, PrintUsage);
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      flags.seed = bench::ParseU64(argv[0], flag, value(), /*min=*/0, PrintUsage);
+    } else if (std::strcmp(flag, "--jobs") == 0) {
+      flags.jobs = bench::ParseCount(argv[0], flag, value(), /*min=*/0, PrintUsage);
+    } else if (std::strcmp(flag, "--max-steps") == 0) {
+      flags.max_steps = bench::ParseU64(argv[0], flag, value(), /*min=*/1, PrintUsage);
+    } else if (std::strcmp(flag, "--inject") == 0) {
+      flags.inject = bench::ParseU64(argv[0], flag, value(), /*min=*/0, PrintUsage);
     } else if (std::strcmp(argv[i], "--corpus-dir") == 0 && i + 1 < argc) {
       flags.corpus_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
@@ -108,9 +108,6 @@ FuzzFlags ParseFlags(int argc, char** argv) {
       PrintUsage(argv[0]);
       std::exit(2);
     }
-  }
-  if (flags.cases < 1) {
-    flags.cases = 1;
   }
   return flags;
 }

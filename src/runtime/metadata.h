@@ -4,6 +4,7 @@
 #define CPI_SRC_RUNTIME_METADATA_H_
 
 #include <cstdint>
+#include <type_traits>
 
 namespace cpi::runtime {
 
@@ -45,6 +46,13 @@ struct SafeEntry {
     return SafeEntry{value, 1, 0, 0, EntryKind::kData};
   }
 };
+
+// An all-zero entry is SafeEntry{} (absent), so stores may hand out
+// zero-filled memory as entries without constructing them (the array store's
+// demand-zero pages rely on this).
+static_assert(static_cast<uint8_t>(EntryKind::kNone) == 0);
+static_assert(std::is_trivially_copyable_v<SafeEntry>);
+static_assert(std::is_trivially_destructible_v<SafeEntry>);
 
 // Size of one entry as laid out in the safe region; used for cache modelling
 // and for the memory-overhead accounting of §5.2.

@@ -1,7 +1,15 @@
 // The three safe-pointer-store organisations (§4).
+//
+// MemoryBytes() is the simulated footprint of §5.2: every entry an
+// organisation reserves, resident or not. What the host process keeps
+// resident can be less — the array store's pages are demand-zero mappings —
+// and no simulated number depends on it.
 #include "src/runtime/safe_store.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -25,7 +33,11 @@ uint64_t SlotOf(uint64_t addr) { return addr >> 3; }
 // region, materialised in page-sized chunks on first touch — the "simple
 // array relying on sparse address space support of the underlying OS" that
 // §4 found fastest (with superpages). Memory cost is highest: every touched
-// page reserves entries for all of its slots.
+// page reserves entries for all of its slots, and MemoryBytes() counts them
+// all. On the host, as in the paper, the OS does the sparse part: each page
+// is an anonymous demand-zero mapping, so only the 4 KB pieces a run writes
+// become resident, and an untouched entry reads as SafeEntry{} (see the
+// static_asserts next to SafeEntry).
 class ArrayStore final : public SafePointerStore {
  public:
   static constexpr uint64_t kSlotsPerPage = 1 << 16;  // 2 MB superpage of entries
@@ -107,6 +119,21 @@ class ArrayStore final : public SafePointerStore {
   struct Page {
     SafeEntry entries[kSlotsPerPage];
   };
+  struct PageUnmapper {
+    void operator()(Page* page) const { munmap(page, sizeof(Page)); }
+  };
+  using PagePtr = std::unique_ptr<Page, PageUnmapper>;
+
+  // Never constructed: the mapping's zero bytes already are absent entries,
+  // and writing them would make the whole page resident.
+  static PagePtr MapZeroPage() {
+    void* bytes = mmap(nullptr, sizeof(Page), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (bytes == MAP_FAILED) {
+      throw std::bad_alloc();  // contained by Machine::Run, like SimulatedOom
+    }
+    return PagePtr(static_cast<Page*>(bytes));
+  }
 
   static void Touch(uint64_t slot, TouchList* touched) {
     if (touched != nullptr) {
@@ -120,12 +147,12 @@ class ArrayStore final : public SafePointerStore {
     auto it = pages_.find(page_id);
     if (it == pages_.end()) {
       ConsumeGrowthAllocation();
-      it = pages_.emplace(page_id, std::make_unique<Page>()).first;
+      it = pages_.emplace(page_id, MapZeroPage()).first;
     }
     return *it->second;
   }
 
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
+  std::unordered_map<uint64_t, PagePtr> pages_;
   uint64_t live_entries_ = 0;
 };
 

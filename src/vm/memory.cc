@@ -1,5 +1,6 @@
 #include "src/vm/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/support/oom.h"
@@ -13,35 +14,50 @@ void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
     // inflating mapped_bytes() — and with it the §5.2 memory tables.
     return;
   }
-  InvalidateTranslationCache();
   const uint64_t first = start / kPageBytes;
   const uint64_t last = (start + size + kPageBytes - 1) / kPageBytes;
   for (uint64_t p = first; p < last; ++p) {
-    Page& page = pages_[p];
-    page.mapped = true;
     // Remap semantics: the most recent mapping wins, exactly like mprotect.
     // The old or-merge could never drop writability, so a page remapped
     // read-only (code/constant data) stayed silently writable.
-    page.writable = writable;
+    MapPage(p).writable = writable;
   }
 }
 
 void ByteMemory::UnmapRange(uint64_t start, uint64_t size) {
-  InvalidateTranslationCache();
   // Only whole pages strictly inside the range are unmapped; partial pages at
   // the edges stay (they may still back neighbouring objects).
-  uint64_t first = (start + kPageBytes - 1) / kPageBytes;
-  uint64_t last = (start + size) / kPageBytes;
+  const uint64_t first = (start + kPageBytes - 1) / kPageBytes;
+  const uint64_t last = (start + size) / kPageBytes;
   for (uint64_t p = first; p < last; ++p) {
-    pages_.erase(p);
+    Page* page = FindPage(p * kPageBytes);
+    if (page != nullptr) {
+      *page = Page{};  // drops the bytes: a remap reads zeros
+      --mapped_pages_;
+    }
   }
 }
 
-ByteMemory::Page* ByteMemory::FindPageSlow(uint64_t id) {
-  auto it = pages_.find(id);
-  Page* page = (it == pages_.end() || !it->second.mapped) ? nullptr : &it->second;
-  cached_id_ = id;
-  cached_page_ = page;
+ByteMemory::Chunk* ByteMemory::FindChunkSlow(uint64_t chunk_id) const {
+  auto it = chunks_.find(chunk_id);
+  cached_chunk_id_ = chunk_id;
+  cached_chunk_ = it == chunks_.end() ? nullptr : it->second.get();
+  return cached_chunk_;
+}
+
+ByteMemory::Page& ByteMemory::MapPage(uint64_t id) {
+  Chunk* chunk = FindChunk(id / kChunkPages);
+  if (chunk == nullptr) {
+    chunk = chunks_.emplace(id / kChunkPages, std::make_unique<Chunk>()).first->second.get();
+    // The cache may hold this chunk id as absent.
+    cached_chunk_id_ = id / kChunkPages;
+    cached_chunk_ = chunk;
+  }
+  Page& page = chunk->pages[id % kChunkPages];
+  if (!page.mapped) {
+    page.mapped = true;
+    ++mapped_pages_;
+  }
   return page;
 }
 
@@ -53,8 +69,7 @@ uint8_t* ByteMemory::MaterializePage(Page& page) {
     }
     --alloc_failure_countdown_;
   }
-  page.bytes = std::make_unique<uint8_t[]>(kPageBytes);
-  std::memset(page.bytes.get(), 0, kPageBytes);
+  page.bytes = std::make_unique<uint8_t[]>(kPageBytes);  // value-initialised: zeros
   return page.bytes.get();
 }
 
@@ -111,13 +126,11 @@ MemFault ByteMemory::WriteSlow(uint64_t addr, const void* data, uint64_t size) {
 }
 
 void ByteMemory::LoaderWrite(uint64_t addr, const void* data, uint64_t size) {
-  InvalidateTranslationCache();
   const uint8_t* src = static_cast<const uint8_t*>(data);
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    Page& page = pages_[a / kPageBytes];
-    page.mapped = true;
+    Page& page = MapPage(a / kPageBytes);
     const uint64_t in_page = a % kPageBytes;
     const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
     std::memcpy(PageBytes(page) + in_page, src + done, chunk);

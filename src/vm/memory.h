@@ -5,6 +5,15 @@
 // Loads/stores of unmapped addresses fault, exactly like touching an unmapped
 // page on real hardware — this is what turns wild attacker guesses under
 // information-hiding isolation into crashes (§3.2.3).
+//
+// Host representation: a two-level page table. A hash map goes from chunk id
+// to a heap chunk of kChunkPages page descriptors (2 MiB of simulated address
+// space); a descriptor holds the mapped/writable bits and, once the page is
+// first written, its 4 KB of bytes. Mapping a range is a run of flag writes
+// over contiguous descriptors, so a thread's two 4 MiB stacks cost a handful
+// of chunk allocations, not one hash node per page. None of this is
+// simulated state: mapped_bytes() counts mapped pages, whatever the host
+// allocated for them.
 #ifndef CPI_SRC_VM_MEMORY_H_
 #define CPI_SRC_VM_MEMORY_H_
 
@@ -24,6 +33,7 @@ enum class MemFault {
 class ByteMemory {
  public:
   static constexpr uint64_t kPageBytes = 4096;
+  static constexpr uint64_t kChunkPages = 512;  // 2 MiB of address space per chunk
 
   // Makes [start, start+size) accessible. Pages materialise lazily,
   // zero-filled. A zero-size range maps nothing. Remapping is mprotect-like:
@@ -32,7 +42,8 @@ class ByteMemory {
   void MapRange(uint64_t start, uint64_t size, bool writable);
 
   // Removes access (used when unsafe frames are popped so that dangling
-  // stack references fault).
+  // stack references fault). Only whole pages inside the range are unmapped,
+  // and their contents are dropped: a later remap reads zeros.
   void UnmapRange(uint64_t start, uint64_t size);
 
   bool IsMapped(uint64_t addr) const;
@@ -77,35 +88,51 @@ class ByteMemory {
   MemFault WriteByte(uint64_t addr, uint8_t value) { return Write(addr, &value, 1); }
 
   // Raw write ignoring the read-only bit — used by the loader to place
-  // constant data, never by program execution.
+  // constant data, never by program execution. A page it maps afresh is
+  // read-only.
   void LoaderWrite(uint64_t addr, const void* data, uint64_t size);
 
-  uint64_t mapped_bytes() const { return pages_.size() * kPageBytes; }
+  uint64_t mapped_bytes() const { return mapped_pages_ * kPageBytes; }
 
   // Fault injection (vm::FaultPlan, kOomPageAlloc): after `countdown` more
   // page materialisations succeed, the next one throws SimulatedOom. The VM
   // catches it and reports the run as crashed; the harness asserts the host
-  // survives. One-shot: the failure disarms itself after firing.
+  // survives. One-shot: the failure disarms itself after firing. Mapping a
+  // range materialises nothing, so it never consumes the countdown.
   void ArmAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
 
  private:
   struct Page {
-    std::unique_ptr<uint8_t[]> bytes;
+    std::unique_ptr<uint8_t[]> bytes;  // null until first written: reads as zeros
     bool writable = false;
     bool mapped = false;
+  };
+  struct Chunk {
+    Page pages[kChunkPages];
   };
 
   Page* FindPage(uint64_t addr) {
     const uint64_t id = addr / kPageBytes;
-    if (id == cached_id_) {
-      return cached_page_;
+    Chunk* chunk = FindChunk(id / kChunkPages);
+    if (chunk == nullptr) {
+      return nullptr;
     }
-    return FindPageSlow(id);
+    Page& page = chunk->pages[id % kChunkPages];
+    return page.mapped ? &page : nullptr;
   }
   const Page* FindPage(uint64_t addr) const {
     return const_cast<ByteMemory*>(this)->FindPage(addr);
   }
-  Page* FindPageSlow(uint64_t id);
+  Chunk* FindChunk(uint64_t chunk_id) const {
+    if (chunk_id == cached_chunk_id_) {
+      return cached_chunk_;
+    }
+    return FindChunkSlow(chunk_id);
+  }
+  Chunk* FindChunkSlow(uint64_t chunk_id) const;
+  // Marks page `id` mapped (a page mapped afresh is read-only), creating its
+  // chunk if needed.
+  Page& MapPage(uint64_t id);
   uint8_t* PageBytes(Page& page) {
     if (page.bytes == nullptr) {
       return MaterializePage(page);
@@ -115,22 +142,19 @@ class ByteMemory {
   uint8_t* MaterializePage(Page& page);
   MemFault ReadSlow(uint64_t addr, void* out, uint64_t size) const;
   MemFault WriteSlow(uint64_t addr, const void* data, uint64_t size);
-  void InvalidateTranslationCache() const {
-    cached_id_ = ~0ULL;
-    cached_page_ = nullptr;
-  }
 
-  std::unordered_map<uint64_t, Page> pages_;
+  std::unordered_map<uint64_t, std::unique_ptr<Chunk>> chunks_;
+  uint64_t mapped_pages_ = 0;
   // Armed by ArmAllocFailure; kDisarmed means allocations always succeed.
   static constexpr uint64_t kAllocFailureDisarmed = ~0ULL;
   uint64_t alloc_failure_countdown_ = kAllocFailureDisarmed;
-  // One-entry translation cache: program accesses hit the same page in
-  // bursts, so most lookups skip the hash table. Pointers into pages_ are
-  // stable across inserts (node-based container); the cache is invalidated
-  // on every map/unmap. Purely a host-side speedup — no simulated cost
-  // depends on it.
-  mutable uint64_t cached_id_ = ~0ULL;
-  mutable Page* cached_page_ = nullptr;
+  // One-entry chunk cache: program accesses hit the same 2 MiB in bursts, so
+  // most lookups skip the hash map. It may cache an absent chunk (nullptr).
+  // Chunks live as long as the ByteMemory and never move, so the cache goes
+  // stale only when a chunk is created. Purely a host-side speedup — no
+  // simulated cost depends on it.
+  mutable uint64_t cached_chunk_id_ = ~0ULL;
+  mutable Chunk* cached_chunk_ = nullptr;
 };
 
 }  // namespace cpi::vm

@@ -34,6 +34,11 @@ TEST(BenchFlagsTest, KnownFlagsParse) {
   const Flags resolved = Parse(5, defaults);
   EXPECT_EQ(resolved.scale, 1);
   EXPECT_EQ(resolved.jobs, ThreadPool::DefaultJobs());
+
+  // bench/fuzz's 64-bit numbers (--seed, --max-steps, --inject).
+  EXPECT_EQ(ParseU64("fuzz", "--seed", "0", /*min=*/0), 0u);
+  EXPECT_EQ(ParseU64("fuzz", "--seed", "18446744073709551615", /*min=*/0), ~0ULL);
+  EXPECT_EQ(ParseU64("fuzz", "--max-steps", "2000000", /*min=*/1), 2'000'000u);
 }
 
 TEST(BenchFlagsDeathTest, UnknownArgumentExitsNonZero) {
@@ -66,6 +71,35 @@ TEST(BenchFlagsDeathTest, MissingValueExitsNonZero) {
     char* bad[] = {a0, f.data(), v.data()};
     EXPECT_EXIT(Parse(3, bad), testing::ExitedWithCode(2),
                 std::string("invalid ") + flag + ": ") << flag << " " << value;
+  }
+  // bench/fuzz's numeric flags used unchecked strtoull: `--cases 5x` ran 5
+  // cases, `--jobs foo` ran on every core, and `--cases 0` or
+  // `--cases 99999999999` silently became 1.
+  struct Case {
+    const char* flag;
+    const char* value;
+    int min;
+  };
+  const Case counts[] = {{"--cases", "5x", 1},          {"--cases", "0", 1},
+                         {"--cases", "99999999999", 1}, {"--cases", "", 1},
+                         {"--jobs", "foo", 0},          {"--jobs", "-2", 0}};
+  for (const Case& c : counts) {
+    EXPECT_EXIT(ParseCount("fuzz", c.flag, c.value, c.min), testing::ExitedWithCode(2),
+                std::string("invalid ") + c.flag + ": ")
+        << c.flag << " " << c.value;
+  }
+  const Case u64s[] = {{"--seed", "7x", 0},
+                       {"--seed", "-1", 0},
+                       {"--seed", "18446744073709551616", 0},
+                       {"--seed", " 7", 0},
+                       {"--max-steps", "0", 1},
+                       {"--max-steps", "1e6", 1},
+                       {"--inject", "", 0},
+                       {"--inject", "bar", 0}};
+  for (const Case& c : u64s) {
+    EXPECT_EXIT(ParseU64("fuzz", c.flag, c.value, c.min), testing::ExitedWithCode(2),
+                std::string("invalid ") + c.flag + ": ")
+        << c.flag << " " << c.value;
   }
 }
 

@@ -12,6 +12,7 @@
 #include "src/runtime/safe_store.h"
 #include "src/runtime/seal.h"
 #include "src/runtime/temporal.h"
+#include "src/support/oom.h"
 #include "src/support/rng.h"
 #include "src/vm/layout.h"
 
@@ -284,6 +285,78 @@ TEST(StoreComparisonTest, HashIsMostMemoryFrugalForSparseEntries) {
     hash->Set(addr, SafeEntry::Code(0x1000), nullptr);
   }
   EXPECT_LT(hash->MemoryBytes(), array->MemoryBytes());
+}
+
+// The array store's pages are demand-zero mappings that are never
+// constructed: their zero bytes must read as absent entries, and the §5.2
+// accounting must still charge whole pages.
+constexpr uint64_t kArraySlotsPerPage = 1 << 16;          // ArrayStore::kSlotsPerPage
+constexpr uint64_t kArrayPageSpan = kArraySlotsPerPage * 8;  // regular bytes per page
+constexpr uint64_t kArrayPageBytes = kArraySlotsPerPage * kSafeEntryBytes;
+
+void ExpectAbsent(const SafeEntry& e, uint64_t addr) {
+  EXPECT_FALSE(e.IsPresent()) << std::hex << addr;
+  EXPECT_EQ(e.value, 0u) << std::hex << addr;
+  EXPECT_EQ(e.lower, 0u) << std::hex << addr;
+  EXPECT_EQ(e.upper, 0u) << std::hex << addr;
+  EXPECT_EQ(e.temporal_id, 0u) << std::hex << addr;
+}
+
+TEST(ArrayStoreTest, FreshPagesReadAbsentAndCountWhole) {
+  auto store = CreateSafeStore(StoreKind::kArray);
+  const uint64_t page = 3 * kArrayPageSpan;
+  store->Set(page + 12345 * 8, SafeEntry::Code(0x4000), nullptr);
+  EXPECT_EQ(store->MemoryBytes(), kArrayPageBytes);
+  ExpectAbsent(store->Get(page, nullptr), page);
+  ExpectAbsent(store->Get(page + kArrayPageSpan - 8, nullptr), page + kArrayPageSpan - 8);
+  Rng rng(11);
+  for (int i = 0; i < 64; ++i) {
+    const uint64_t addr = page + rng.NextBelow(kArraySlotsPerPage) * 8;
+    if (addr != page + 12345 * 8) {
+      ExpectAbsent(store->Get(addr, nullptr), addr);
+    }
+  }
+  store->Clear(page, nullptr);  // clearing an absent slot changes nothing
+  EXPECT_EQ(store->EntryCount(), 1u);
+  EXPECT_EQ(store->Get(page + 12345 * 8, nullptr).value, 0x4000u);
+
+  store->Set(page + kArrayPageSpan - 8, SafeEntry::Code(0x5000), nullptr);  // same page
+  EXPECT_EQ(store->MemoryBytes(), kArrayPageBytes);
+  store->Set(page + kArrayPageSpan, SafeEntry::Code(0x6000), nullptr);  // the next one
+  EXPECT_EQ(store->MemoryBytes(), 2 * kArrayPageBytes);
+  EXPECT_EQ(store->EntryCount(), 3u);
+}
+
+TEST(ArrayStoreTest, CorruptEntryWalksPagesInAddressOrder) {
+  auto store = CreateSafeStore(StoreKind::kArray);
+  const uint64_t a = 5 * kArrayPageSpan + 10 * 8;
+  const uint64_t b = 2 * kArrayPageSpan + 100 * 8;
+  const uint64_t c = 2 * kArrayPageSpan + 7 * 8;
+  store->Set(a, SafeEntry::Code(0xa000), nullptr);
+  store->Set(b, SafeEntry::Code(0xb000), nullptr);
+  store->Set(c, SafeEntry::Code(0xc000), nullptr);
+  // Live entries in address order: c, b, a.
+  ASSERT_TRUE(store->CorruptEntry(1, 0xff));
+  EXPECT_EQ(store->Get(b, nullptr).value, 0xb0ffu);
+  ASSERT_TRUE(store->CorruptEntry(3, 0x1));  // wraps: 3 mod 3 live entries
+  EXPECT_EQ(store->Get(c, nullptr).value, 0xc001u);
+  EXPECT_EQ(store->Get(a, nullptr).value, 0xa000u);
+  EXPECT_EQ(store->EntryCount(), 3u);
+}
+
+TEST(ArrayStoreTest, InjectedAllocFailureHitsTheNextNewPage) {
+  auto store = CreateSafeStore(StoreKind::kArray);
+  store->InjectAllocFailure(1);  // one more page succeeds, the next throws
+  store->Set(0, SafeEntry::Code(0x1000), nullptr);
+  store->Set(8, SafeEntry::Code(0x1000), nullptr);  // same page: not a growth
+  EXPECT_THROW(store->Set(kArrayPageSpan, SafeEntry::Code(0x1000), nullptr), SimulatedOom);
+  EXPECT_EQ(store->EntryCount(), 2u);
+  EXPECT_EQ(store->MemoryBytes(), kArrayPageBytes);
+  ExpectAbsent(store->Get(kArrayPageSpan, nullptr), kArrayPageSpan);
+  // One-shot: the failure disarmed itself.
+  store->Set(kArrayPageSpan, SafeEntry::Code(0x2000), nullptr);
+  EXPECT_EQ(store->MemoryBytes(), 2 * kArrayPageBytes);
+  EXPECT_EQ(store->Get(kArrayPageSpan, nullptr).value, 0x2000u);
 }
 
 // --- metadata ----------------------------------------------------------------

@@ -1,11 +1,14 @@
 // VM tests: memory semantics, cache model, execution semantics (arithmetic
 // widths, control flow, calls, heap), trap taxonomy, and the isolation
 // invariant (no safe-region address ever stored in regular memory).
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
 #include "src/ir/builder.h"
+#include "src/support/oom.h"
 #include "src/vm/cache.h"
 #include "src/vm/layout.h"
 #include "src/vm/machine.h"
@@ -88,6 +91,140 @@ TEST(ByteMemoryTest, RemapPermissionsHonourLastMapping) {
   EXPECT_EQ(v, 42u);  // contents survive the permission change
   mem.MapRange(0x3000, 64, /*writable=*/true);  // and back
   EXPECT_EQ(mem.WriteU64(0x3000, 7), MemFault::kNone);
+}
+
+// The page table is two-level: chunks of kChunkPages descriptors behind a
+// one-entry chunk cache. These pin that its chunking never shows.
+constexpr uint64_t kChunkBytes = ByteMemory::kChunkPages * ByteMemory::kPageBytes;
+
+TEST(ByteMemoryTest, AccessesStraddleAChunkBoundary) {
+  ByteMemory mem;
+  const uint64_t boundary = 3 * kChunkBytes;
+  uint64_t v = 0;
+  // A miss is looked up (and cached) before its chunk exists; mapping the
+  // chunk must not leave that miss behind.
+  ASSERT_EQ(mem.ReadU64(boundary - 8, &v), MemFault::kUnmapped);
+  mem.MapRange(boundary - 2 * ByteMemory::kPageBytes, 2 * ByteMemory::kPageBytes, true);
+  ASSERT_EQ(mem.ReadU64(boundary - 8, &v), MemFault::kNone);
+  ASSERT_EQ(mem.ReadU64(boundary, &v), MemFault::kUnmapped);
+  mem.MapRange(boundary, 2 * ByteMemory::kPageBytes, true);
+  ASSERT_EQ(mem.ReadU64(boundary, &v), MemFault::kNone);
+  EXPECT_EQ(mem.mapped_bytes(), 4 * ByteMemory::kPageBytes);
+  ASSERT_EQ(mem.WriteU64(boundary - 4, 0x0102030405060708ull), MemFault::kNone);
+  ASSERT_EQ(mem.ReadU64(boundary - 4, &v), MemFault::kNone);
+  EXPECT_EQ(v, 0x0102030405060708ull);
+
+  std::vector<uint8_t> out(3 * ByteMemory::kPageBytes);
+  std::vector<uint8_t> in(out.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const uint64_t start = boundary - ByteMemory::kPageBytes - 100;
+  ASSERT_EQ(mem.Write(start, in.data(), in.size()), MemFault::kNone);
+  ASSERT_EQ(mem.Read(start, out.data(), out.size()), MemFault::kNone);
+  EXPECT_EQ(out, in);
+  uint8_t byte = 0;
+  ASSERT_EQ(mem.ReadByte(boundary, &byte), MemFault::kNone);
+  EXPECT_EQ(byte, in[boundary - start]);
+
+  // Past the mapped range on either side, still unmapped.
+  EXPECT_EQ(mem.ReadByte(boundary + 2 * ByteMemory::kPageBytes, &byte), MemFault::kUnmapped);
+  EXPECT_EQ(mem.ReadByte(boundary - 2 * ByteMemory::kPageBytes - 1, &byte), MemFault::kUnmapped);
+  EXPECT_EQ(mem.Write(boundary + 2 * ByteMemory::kPageBytes - 4, &v, 8), MemFault::kUnmapped);
+}
+
+TEST(ByteMemoryTest, UnmapDropsInnerPagesAndRemapReadsZero) {
+  ByteMemory mem;
+  const uint64_t base = kChunkBytes - 2 * ByteMemory::kPageBytes;  // pages span two chunks
+  mem.MapRange(base, 4 * ByteMemory::kPageBytes, true);
+  for (uint64_t p = 0; p < 4; ++p) {
+    ASSERT_EQ(mem.WriteU64(base + p * ByteMemory::kPageBytes + 16, 100 + p), MemFault::kNone);
+  }
+  // [base + 0x800, base + 3 pages + 0x800): only pages 1 and 2 lie wholly inside.
+  mem.UnmapRange(base + 0x800, 3 * ByteMemory::kPageBytes);
+  EXPECT_EQ(mem.mapped_bytes(), 2 * ByteMemory::kPageBytes);
+  uint64_t v = 0;
+  EXPECT_EQ(mem.ReadU64(base + ByteMemory::kPageBytes + 16, &v), MemFault::kUnmapped);
+  EXPECT_EQ(mem.ReadU64(base + 2 * ByteMemory::kPageBytes + 16, &v), MemFault::kUnmapped);
+  ASSERT_EQ(mem.ReadU64(base + 16, &v), MemFault::kNone);
+  EXPECT_EQ(v, 100u);
+  ASSERT_EQ(mem.ReadU64(base + 3 * ByteMemory::kPageBytes + 16, &v), MemFault::kNone);
+  EXPECT_EQ(v, 103u);
+
+  mem.MapRange(base, 4 * ByteMemory::kPageBytes, true);
+  EXPECT_EQ(mem.mapped_bytes(), 4 * ByteMemory::kPageBytes);
+  for (uint64_t p : {1, 2}) {
+    v = 1;
+    ASSERT_EQ(mem.ReadU64(base + p * ByteMemory::kPageBytes + 16, &v), MemFault::kNone);
+    EXPECT_EQ(v, 0u) << "page " << p;
+  }
+  ASSERT_EQ(mem.ReadU64(base + 16, &v), MemFault::kNone);
+  EXPECT_EQ(v, 100u);  // the edge page was never unmapped
+}
+
+TEST(ByteMemoryTest, MappedBytesIsExact) {
+  ByteMemory mem;
+  constexpr uint64_t kPage = ByteMemory::kPageBytes;
+  mem.MapRange(0x10000, 3 * kPage, true);
+  EXPECT_EQ(mem.mapped_bytes(), 3 * kPage);
+  mem.MapRange(0x10000 + 2 * kPage + 1, 2 * kPage, false);  // overlaps one, adds two
+  EXPECT_EQ(mem.mapped_bytes(), 5 * kPage);
+  mem.MapRange(0x10000, 5 * kPage, true);  // remap of everything adds nothing
+  EXPECT_EQ(mem.mapped_bytes(), 5 * kPage);
+  mem.UnmapRange(0x10000, kPage);
+  EXPECT_EQ(mem.mapped_bytes(), 4 * kPage);
+  mem.UnmapRange(0x10000, kPage);  // already unmapped
+  EXPECT_EQ(mem.mapped_bytes(), 4 * kPage);
+  mem.UnmapRange(0x900000, 8 * kPage);  // never mapped, chunk absent
+  EXPECT_EQ(mem.mapped_bytes(), 4 * kPage);
+
+  // The loader maps what it writes, read-only, and counts it once.
+  const char data[] = "constant";
+  mem.LoaderWrite(kChunkBytes - 4, data, sizeof(data));  // two new pages, two chunks
+  EXPECT_EQ(mem.mapped_bytes(), 6 * kPage);
+  mem.LoaderWrite(0x10000 + kPage, data, sizeof(data));  // already mapped
+  EXPECT_EQ(mem.mapped_bytes(), 6 * kPage);
+  EXPECT_EQ(mem.WriteByte(kChunkBytes - 4, 1), MemFault::kReadOnly);
+  EXPECT_EQ(mem.WriteByte(kChunkBytes, 1), MemFault::kReadOnly);
+  EXPECT_EQ(mem.WriteByte(0x10000 + kPage, 1), MemFault::kNone);  // keeps its writability
+  char back[sizeof(data)] = {};
+  ASSERT_EQ(mem.Read(kChunkBytes - 4, back, sizeof(back)), MemFault::kNone);
+  EXPECT_STREQ(back, data);
+}
+
+// The chunk cache survives a map: a permission change must still be seen by
+// the next access, on both sides of a chunk boundary.
+TEST(ByteMemoryTest, ReadOnlyRemapOfCachedWritablePageRejectsWrites) {
+  ByteMemory mem;
+  const uint64_t addr = kChunkBytes - ByteMemory::kPageBytes;
+  mem.MapRange(addr, 2 * ByteMemory::kPageBytes, true);
+  ASSERT_EQ(mem.WriteU64(addr, 1), MemFault::kNone);
+  ASSERT_EQ(mem.WriteU64(kChunkBytes, 2), MemFault::kNone);
+  mem.MapRange(addr, 2 * ByteMemory::kPageBytes, false);
+  EXPECT_FALSE(mem.IsWritable(addr));
+  EXPECT_EQ(mem.WriteU64(addr, 3), MemFault::kReadOnly);
+  EXPECT_EQ(mem.WriteU64(kChunkBytes, 3), MemFault::kReadOnly);
+  EXPECT_EQ(mem.WriteU64(kChunkBytes - 4, 3), MemFault::kReadOnly);  // straddling
+  uint64_t v = 0;
+  ASSERT_EQ(mem.ReadU64(kChunkBytes, &v), MemFault::kNone);
+  EXPECT_EQ(v, 2u);
+}
+
+TEST(ByteMemoryTest, AllocFailureCountsMaterialisationsNotMappings) {
+  ByteMemory mem;
+  mem.ArmAllocFailure(0);
+  mem.MapRange(0x100000, 8 * ByteMemory::kPageBytes, true);  // maps, materialises nothing
+  uint64_t v = 0;
+  EXPECT_EQ(mem.ReadU64(0x100000, &v), MemFault::kNone);  // reads do not materialise
+  EXPECT_THROW(mem.WriteU64(0x100000, 1), SimulatedOom);
+
+  mem.ArmAllocFailure(2);  // the third materialisation fails
+  EXPECT_EQ(mem.WriteU64(0x100000, 1), MemFault::kNone);
+  EXPECT_EQ(mem.WriteU64(0x100008, 1), MemFault::kNone);  // same page: no new one
+  EXPECT_EQ(mem.WriteU64(0x101000, 1), MemFault::kNone);
+  mem.MapRange(0x200000, 4 * ByteMemory::kPageBytes, true);  // a new chunk, still no page
+  EXPECT_THROW(mem.WriteU64(0x102000, 1), SimulatedOom);
+  EXPECT_EQ(mem.WriteU64(0x102000, 1), MemFault::kNone);  // one-shot: disarmed after firing
 }
 
 TEST(CacheTest, RepeatAccessHits) {

@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   spec_protections.push_back(Protection::kSoftBound);
 
   // -------------------------------------------------------------------------
-  // Every workload set in one list, frontend-built once. A set is kept as
+  // Every workload set in one list, built once. A set is kept as
   // the positions of its workloads in that list.
   std::vector<Workload> workloads;
   const auto add_set = [&workloads](const std::vector<Workload>& set) {

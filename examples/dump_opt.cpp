@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   }
 
   cpi::core::Config config;
-  config.protection = s->id();
+  config.scheme = s;
   auto instrumented = w->build(1);
   cpi::core::Compiler(config).Instrument(*instrumented);
   std::printf("=== %s under %s, O0 ===\n%s\n", workload_name, scheme_name,

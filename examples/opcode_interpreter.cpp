@@ -1,84 +1,43 @@
-// The Perl-opcode-dispatch example from §3.3, in code.
+// The Perl-opcode-dispatch example from §3.3, as a RIPE row.
 //
 // The paper uses a bytecode interpreter to explain why CPS is stronger than
-// CFI: CFI admits *any* opcode handler at an indirect call site, while CPS
-// only admits code pointers that were actually stored by the program. This
-// example builds such an interpreter in the C subset, corrupts the dispatch
-// table with a function that IS in the CFI valid set, and shows CFI accept
-// the hijack while CPS rejects it.
+// CFI: CFI admits *any* address-taken handler at an indirect call site,
+// while CPS only admits code pointers that the program actually stored
+// there. The row arbitrary-write/global/func-ptr/addr-taken is that
+// situation: the gadget (think of Perl's `system` opcode) has its address
+// taken elsewhere in the program, so it is in coarse CFI's valid target set,
+// and an attacker-controlled write replaces a global function pointer with
+// it. CFI accepts the hijack; CPS and CPI reject it.
 //
 //   $ ./examples/example_opcode_interpreter
+//
+// Exits 1 unless CFI is hijacked and CPS and CPI are not.
 #include <cstdio>
 
-#include "src/core/levee.h"
-#include "src/frontend/compile.h"
-#include "src/vm/machine.h"
+#include "src/attacks/ripe.h"
 
 int main() {
-  const char* source = R"(
-    void (*dispatch[8])();
-    int acc;
+  using cpi::core::Protection;
+  const cpi::attacks::AttackSpec spec{cpi::attacks::Technique::kArbitraryWrite,
+                                      cpi::attacks::Location::kGlobal,
+                                      cpi::attacks::Target::kFunctionPointer,
+                                      /*gadget_address_taken=*/true};
+  std::printf("%s\n", spec.Name().c_str());
 
-    void op_push() { acc = acc + 1; }
-    void op_add()  { acc = acc + 10; }
-    void op_halt() { output(acc); }
-    // A handler the interpreter knows but this program never installs —
-    // think of it as Perl's `system` opcode. Its address IS taken (it lives
-    // in a registry), so coarse CFI considers it a valid call target.
-    void op_system() { output(666); }
-    void (*registry)();
-
-    int main() {
-      registry = op_system;           // address taken: in CFI's valid set
-      dispatch[0] = op_push;
-      dispatch[1] = op_add;
-      dispatch[2] = op_halt;
-
-      // The memory bug: an attacker-controlled write into the dispatch
-      // table (any heap/global corruption gets them this).
-      int index = input();
-      int value = input();
-      if (value != 0) {
-        int* cell = (int*)(dispatch + index);
-        *cell = value;
-      }
-
-      // The interpreter's main loop: opcodes 0,1,1,2.
-      dispatch[0]();
-      dispatch[1]();
-      dispatch[1]();
-      dispatch[2]();
-      return 0;
-    }
-  )";
-
-  auto compiled = cpi::frontend::CompileC(source, "interp");
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile error: %s\n", compiled.error.c_str());
-    return 1;
-  }
-  const cpi::vm::ProgramLayout layout = cpi::vm::ComputeProgramLayout(*compiled.module);
-  const uint64_t op_system =
-      layout.CodeAddress(compiled.module->FindFunction("op_system"));
-
-  // Overwrite dispatch[1] with op_system.
-  cpi::core::Input exploit;
-  exploit.words = {1, op_system};
-
-  for (cpi::core::Protection p :
-       {cpi::core::Protection::kNone, cpi::core::Protection::kCfi,
-        cpi::core::Protection::kCps, cpi::core::Protection::kCpi}) {
-    auto module = cpi::frontend::CompileC(source, "interp").module;
+  bool hijacked[4] = {};
+  const Protection protections[] = {Protection::kNone, Protection::kCfi, Protection::kCps,
+                                    Protection::kCpi};
+  for (int i = 0; i < 4; ++i) {
     cpi::core::Config config;
-    config.protection = p;
-    auto r = cpi::core::InstrumentAndRun(*module, config, exploit);
-    std::printf("%-9s: status=%-9s %s\n", cpi::core::ProtectionName(p),
+    config.protection = protections[i];
+    const cpi::attacks::AttackResult r = cpi::attacks::RunAttack(spec, config);
+    hijacked[i] = r.Hijacked();
+    std::printf("%-9s: status=%-9s %s\n", cpi::core::ProtectionName(protections[i]),
                 cpi::vm::RunStatusName(r.status),
-                r.OutputContains(666) ? "op_system EXECUTED (hijack)"
-                                      : "op_system never ran");
+                hijacked[i] ? "gadget EXECUTED (hijack)" : "gadget never ran");
   }
-  std::printf("\nCFI admits the hijack (op_system is in the valid target set);\n"
+  std::printf("\nCFI admits the hijack (the gadget is in the valid target set);\n"
               "CPS/CPI reject it: the corrupted slot never went through a\n"
               "code-pointer store, so the loaded value is not a safe code pointer.\n");
-  return 0;
+  return hijacked[1] && !hijacked[2] && !hijacked[3] ? 0 : 1;
 }

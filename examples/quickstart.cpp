@@ -1,77 +1,51 @@
-// Quickstart: compile a C program with a classic function-pointer overflow,
-// run it unprotected (hijacked), then rebuild with -fcpi (safe).
+// Quickstart: a classic function-pointer overflow, run unprotected
+// (hijacked), then rebuilt with -fcpi (safe).
+//
+// The program is the RIPE row direct-overflow/global/struct-func-ptr: a
+// global struct holds a 32-byte buffer followed by a handler pointer, an
+// unbounded copy of attacker bytes overruns the buffer, and the program then
+// calls the handler. The exploit is crafted the way RIPE does it: padding up
+// to the handler field, then the gadget's address (the program layout is
+// known, as a binary's layout is to an attacker).
 //
 //   $ ./examples/example_quickstart
+//
+// Exits 1 if vanilla is not hijacked or CPI is.
 #include <cstdio>
 
-#include "src/core/levee.h"
-#include "src/frontend/compile.h"
-#include "src/vm/machine.h"
+#include "src/attacks/ripe.h"
+#include "src/ir/printer.h"
+
+namespace {
+
+// Runs the attack under `protection` and prints its verdict.
+bool Hijacked(const cpi::attacks::AttackSpec& spec, cpi::core::Protection protection) {
+  cpi::core::Config config;
+  config.protection = protection;
+  const cpi::attacks::AttackResult r = cpi::attacks::RunAttack(spec, config);
+  std::printf("status: %s, outcome: %s\n", cpi::vm::RunStatusName(r.status),
+              cpi::attacks::AttackOutcomeName(r.outcome));
+  return r.Hijacked();
+}
+
+}  // namespace
 
 int main() {
-  const char* source = R"(
-    // A web server's callback registry: name buffer followed by the handler.
-    struct route { char path[16]; void (*handler)(); };
-    struct route table[1];
-
-    void serve_index()  { output(200); }
-    void debug_shell()  { output(31337); }   // the function attackers want
-
-    int main() {
-      table[0].handler = serve_index;
-      char request[64];
-      input_bytes(request, 64);
-      strcpy(table[0].path, request);        // classic unbounded copy
-      table[0].handler();
-      return 0;
-    }
-  )";
-
-  auto compiled = cpi::frontend::CompileC(source, "quickstart");
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "compile error: %s\n", compiled.error.c_str());
-    return 1;
+  const cpi::attacks::AttackSpec spec{cpi::attacks::Technique::kDirectOverflow,
+                                      cpi::attacks::Location::kGlobal,
+                                      cpi::attacks::Target::kStructFuncPtr};
+  auto program = cpi::attacks::BuildAttackProgram(spec);
+  for (const auto& f : program->functions()) {
+    f->RenumberValues();  // readable %N value names
   }
-
-  // Craft the exploit the way RIPE does: padding up to the handler field,
-  // then the address of debug_shell (the program layout is known, as a
-  // binary's layout is to an attacker).
-  const cpi::vm::ProgramLayout layout = cpi::vm::ComputeProgramLayout(*compiled.module);
-  const uint64_t target =
-      layout.CodeAddress(compiled.module->FindFunction("debug_shell"));
-  cpi::core::Input exploit;
-  exploit.bytes.assign(16, 'A');
-  for (int i = 0; i < 8; ++i) {
-    exploit.bytes.push_back(static_cast<uint8_t>(target >> (8 * i)));
-  }
-  exploit.bytes.push_back(0);
+  std::printf("%s\n", cpi::ir::PrintModule(*program).c_str());
 
   std::printf("== vanilla build ==\n");
-  {
-    auto module = cpi::frontend::CompileC(source, "quickstart").module;
-    cpi::core::Config config;  // Protection::kNone
-    auto r = cpi::core::InstrumentAndRun(*module, config, exploit);
-    std::printf("status: %s, output:", cpi::vm::RunStatusName(r.status));
-    for (uint64_t v : r.output) {
-      std::printf(" %llu", static_cast<unsigned long long>(v));
-    }
-    std::printf("  %s\n",
-                r.OutputContains(31337) ? "<-- debug_shell executed: HIJACKED" : "");
-  }
-
+  const bool vanilla_hijacked = Hijacked(spec, cpi::core::Protection::kNone);
   std::printf("\n== rebuilt with -fcpi ==\n");
-  {
-    auto module = cpi::frontend::CompileC(source, "quickstart").module;
-    cpi::core::Config config;
-    config.protection = cpi::core::Protection::kCpi;
-    auto r = cpi::core::InstrumentAndRun(*module, config, exploit);
-    std::printf("status: %s, output:", cpi::vm::RunStatusName(r.status));
-    for (uint64_t v : r.output) {
-      std::printf(" %llu", static_cast<unsigned long long>(v));
-    }
-    std::printf("  %s\n", !r.OutputContains(31337)
-                              ? "<-- handler loaded from the safe store: attack neutralised"
-                              : "");
-  }
-  return 0;
+  const bool cpi_hijacked = Hijacked(spec, cpi::core::Protection::kCpi);
+  std::printf("\nUnprotected, the overflow replaces the handler and the gadget runs;\n"
+              "under CPI the handler is loaded from the safe store, which the\n"
+              "overflow cannot reach, so the attack has no effect.\n");
+  return vanilla_hijacked && !cpi_hijacked ? 0 : 1;
 }

@@ -126,7 +126,7 @@ const FunctionClassification& Classifier::ForFunction(const Function* f) const {
 
 void Classifier::ClassifyFunction(const Function& f) {
   FunctionClassification& fc = per_function_[&f];
-  const bool cpi = options_.protection == Protection::kCpi;
+  const bool cpi = options_.criterion == Criterion::kCpi;
 
   // ---- char*-string heuristic: values that demonstrably behave as strings.
   std::set<const Value*> string_values;
@@ -328,11 +328,11 @@ ModuleStats ComputeModuleStats(const ir::Module& module, const ClassifyOptions& 
   ModuleStats stats;
 
   ClassifyOptions cpi_options = base_options;
-  cpi_options.protection = Protection::kCpi;
+  cpi_options.criterion = Criterion::kCpi;
   Classifier cpi(module, cpi_options);
 
   ClassifyOptions cps_options = base_options;
-  cps_options.protection = Protection::kCps;
+  cps_options.criterion = Criterion::kCps;
   Classifier cps(module, cps_options);
 
   for (const auto& f : module.functions()) {

@@ -25,10 +25,12 @@
 
 namespace cpi::analysis {
 
-enum class Protection { kCpi, kCps };
+// Which sensitivity criterion classification applies: CPI protects every
+// sensitive pointer (§3.2.1), CPS only code pointers (§3.3).
+enum class Criterion { kCpi, kCps };
 
 struct ClassifyOptions {
-  Protection protection = Protection::kCpi;
+  Criterion criterion = Criterion::kCpi;
   // §3.2.1: char* values that demonstrably behave as C strings (flow into
   // libc string functions or come from string constants) are not treated as
   // universal pointers.
@@ -91,8 +93,9 @@ class Classifier {
   std::map<const ir::Function*, FunctionClassification> per_function_;
 };
 
-// Computes Table 2 statistics for a module under both protections.
-// `classifier` must have been built with the wanted options.
+// Computes Table 2 statistics for a module under both criteria: it classifies
+// once with each, so `base_options.criterion` is ignored; the heuristic
+// switches apply to both.
 ModuleStats ComputeModuleStats(const ir::Module& module, const ClassifyOptions& base_options);
 
 }  // namespace cpi::analysis

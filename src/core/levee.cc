@@ -39,7 +39,6 @@ CompileOutput Compiler::Instrument(ir::Module& module) const {
   analysis::ClassifyOptions copts;
   copts.char_star_heuristic = config_.char_star_heuristic;
   copts.cast_dataflow = config_.cast_dataflow;
-  scheme.ConfigureClassification(copts);
   out.stats = analysis::ComputeModuleStats(module, copts);
 
   instrument::PassOptions popts;

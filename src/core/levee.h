@@ -1,7 +1,7 @@
 // The public facade of the library — the equivalent of the paper's Levee
 // tool (§4): pick a protection configuration, instrument a module, run it.
 //
-//   ir::Module m = ...;                         // or frontend::CompileC(...)
+//   ir::Module m = ...;                         // built with ir::IRBuilder
 //   core::Config cfg;
 //   cfg.protection = core::Protection::kCpi;    // -fcpi
 //   core::Compiler compiler(cfg);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 
 #include "src/support/check.h"
 
@@ -132,13 +131,6 @@ void CompositeScheme::ConfigureRun(vm::RunOptions& options) const {
   options.costs = sum;
 }
 
-void CompositeScheme::ConfigureClassification(
-    analysis::ClassifyOptions& options) const {
-  for (const ProtectionScheme* p : parts_) {
-    p->ConfigureClassification(options);
-  }
-}
-
 void CompositeScheme::ContributeOptPasses(opt::PassManager& pm) const {
   for (const ProtectionScheme* p : parts_) {
     p->ContributeOptPasses(pm);
@@ -159,8 +151,6 @@ class BuiltinScheme final : public ProtectionScheme {
     // runner's FinalizeModule is the whole pass).
     std::vector<PipelineStage> stages;
     bool uses_safe_store = false;
-    // Sensitivity criterion, when the scheme runs the classifier.
-    std::optional<analysis::Protection> classification;
     vm::OpCosts costs;
     SchemeReporting reporting;
     // Scheme-specific optimizer cleanup (may be null).
@@ -180,12 +170,6 @@ class BuiltinScheme final : public ProtectionScheme {
   void ConfigureRun(vm::RunOptions& options) const override {
     options.use_safe_store = spec_.uses_safe_store;
     options.costs = spec_.costs;
-  }
-
-  void ConfigureClassification(analysis::ClassifyOptions& options) const override {
-    if (spec_.classification.has_value()) {
-      options.protection = *spec_.classification;
-    }
   }
 
   SchemeReporting reporting() const override { return spec_.reporting; }
@@ -266,7 +250,7 @@ struct Registry {
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kNone, "vanilla", "No protection",
         {},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+        /*uses_safe_store=*/false, vm::OpCosts{},
         SchemeReporting{false, true, false}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kStackCookies, "cookies", "Stack cookies",
@@ -274,7 +258,7 @@ struct Registry {
           [](ir::Module& m, const PassOptions&) {
             instrument::ApplyStackCookiesRewrites(m);
           }}},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+        /*uses_safe_store=*/false, vm::OpCosts{},
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kCfi, "cfi", "Control-Flow Integrity",
@@ -282,13 +266,13 @@ struct Registry {
           [](ir::Module& m, const PassOptions&) {
             instrument::ApplyCfiRewrites(m);
           }}},
-        /*uses_safe_store=*/false, std::nullopt,
+        /*uses_safe_store=*/false,
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kSafeStack, "safestack", "Safe Stack",
         {SafeStackStage()},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+        /*uses_safe_store=*/false, vm::OpCosts{},
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kCps, "cps", "Code-Pointer Separation",
@@ -298,7 +282,7 @@ struct Registry {
             instrument::ApplyCpsRewrites(m, o);
           }},
          SafeStackStage()},
-        /*uses_safe_store=*/true, analysis::Protection::kCps,
+        /*uses_safe_store=*/true,
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
@@ -309,7 +293,7 @@ struct Registry {
             instrument::ApplyCpiRewrites(m, o);
           }},
          SafeStackStage()},
-        /*uses_safe_store=*/true, analysis::Protection::kCpi,
+        /*uses_safe_store=*/true,
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
@@ -318,7 +302,7 @@ struct Registry {
           [](ir::Module& m, const PassOptions&) {
             instrument::ApplySoftBoundRewrites(m);
           }}},
-        /*uses_safe_store=*/false, std::nullopt,
+        /*uses_safe_store=*/false,
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
@@ -328,7 +312,7 @@ struct Registry {
           [](ir::Module& m, const PassOptions& o) {
             instrument::ApplyPtrEncRewrites(m, o);
           }}},
-        /*uses_safe_store=*/false, analysis::Protection::kCps,
+        /*uses_safe_store=*/false,
         // PAC-style sign/authenticate latency dominates; no separate checks.
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true},
@@ -344,7 +328,7 @@ struct Registry {
           [](ir::Module& m, const PassOptions&) {
             instrument::ApplyRetChain(m);
           }}},
-        /*uses_safe_store=*/false, std::nullopt,
+        /*uses_safe_store=*/false,
         vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, false, false, /*composite_table=*/true}}));
     // The blessed composites of the evaluation: pointer sealing over an

@@ -1,13 +1,14 @@
 // The ProtectionScheme extension point.
 //
-// The paper's Levee prototype (§4) composes a protection out of (a)
-// instrumentation passes, (b) runtime support, (c) a sensitivity analysis
-// configuration and (d) an evaluation harness. A ProtectionScheme bundles
-// those four facets into one self-describing object, and the SchemeRegistry
-// makes the set of schemes open-ended: the compiler facade, the VM option
-// plumbing and every bench driver iterate the registry instead of switching
-// on an enum, so adding a defense means registering one object — no edits
-// across layers.
+// The paper's Levee prototype (§4) composes a protection out of
+// instrumentation passes (each running its own sensitivity analysis),
+// runtime support and an evaluation harness. A ProtectionScheme bundles four
+// facets — (a) instrumentation, (b) runtime requirements, (c) optimizer
+// cleanup and (d) reporting — into one self-describing object, and the
+// SchemeRegistry makes the set of schemes open-ended: the compiler facade,
+// the VM option plumbing and every bench driver iterate the registry instead
+// of switching on an enum, so adding a defense means registering one object
+// — no edits across layers.
 //
 // Instrumentation is declared as a *staged pipeline*: a scheme exposes a
 // list of named, ordered PipelineStages, each tagged with the module aspects
@@ -16,8 +17,8 @@
 // deterministic scheduler, which is what makes schemes stackable: a
 // CompositeScheme merges the stage lists of N component schemes, rejects
 // combinations whose write tags overlap, and merges the runtime facets
-// (safe-store use OR'd, per-op costs summed, classification and optimizer
-// contributions applied in pipeline order).
+// (safe-store use OR'd, per-op costs summed, optimizer contributions applied
+// in pipeline order).
 //
 // The seven protections of the paper's evaluation (vanilla, SafeStack, CPS,
 // CPI, SoftBound, coarse CFI, stack cookies) are registered built-ins, as is
@@ -37,7 +38,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/analysis/classify.h"
 #include "src/core/levee.h"
 #include "src/instrument/passes.h"
 #include "src/opt/pass_manager.h"
@@ -127,13 +127,7 @@ class ProtectionScheme {
     options.use_safe_store = UsesSafeStore();
   }
 
-  // (c) Classification options for the scheme's sensitivity analysis
-  // (schemes without a static analysis leave the defaults untouched).
-  virtual void ConfigureClassification(analysis::ClassifyOptions& options) const {
-    (void)options;
-  }
-
-  // Scheme-specific cleanup passes for the post-instrumentation optimizer
+  // (c) Scheme-specific cleanup passes for the post-instrumentation optimizer
   // (Config::opt_level >= 1). Called after the standard pipeline's analysis
   // passes and before the final DCE, so a scheme can fold patterns only its
   // own instrumentation emits (PtrEnc contributes seal→auth pair elision).
@@ -146,9 +140,9 @@ class ProtectionScheme {
 // A stack of component schemes behaving as one scheme: stages merged by the
 // deterministic scheduler, safe-store use OR'd, per-op costs summed (as
 // deltas against the default vm::OpCosts, so a 1-element composite is
-// byte-identical to its base scheme), classification options and optimizer
-// contributions applied in component order. Reports only into the composite
-// table, keeping every frozen single-scheme table byte-identical.
+// byte-identical to its base scheme), optimizer contributions applied in
+// component order. Reports only into the composite table, keeping every
+// frozen single-scheme table byte-identical.
 class CompositeScheme final : public ProtectionScheme {
  public:
   // Builds a composite of one or more components. Returns nullptr and fills
@@ -166,7 +160,6 @@ class CompositeScheme final : public ProtectionScheme {
   std::vector<PipelineStage> Stages() const override;
   bool UsesSafeStore() const override;
   void ConfigureRun(vm::RunOptions& options) const override;
-  void ConfigureClassification(analysis::ClassifyOptions& options) const override;
   void ContributeOptPasses(opt::PassManager& pm) const override;
   SchemeReporting reporting() const override {
     return SchemeReporting{false, false, false, /*composite_table=*/true};

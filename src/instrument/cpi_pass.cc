@@ -38,13 +38,13 @@ constexpr IntrinsicSet kCpsIntrinsics = {
     IntrinsicId::kCpsStore, IntrinsicId::kCpsStoreUni, IntrinsicId::kCpsLoad,
     IntrinsicId::kCpsLoadUni, IntrinsicId::kCpsAssertCode};
 
-void InstrumentModule(ir::Module& module, analysis::Protection protection,
+void InstrumentModule(ir::Module& module, analysis::Criterion criterion,
                       const PassOptions& options, const IntrinsicSet& ids) {
   CPI_CHECK(!module.protection().cpi && !module.protection().cps &&
             !module.protection().softbound && !module.protection().ptrenc);
 
   analysis::ClassifyOptions copts;
-  copts.protection = protection;
+  copts.criterion = criterion;
   copts.char_star_heuristic = options.char_star_heuristic;
   copts.cast_dataflow = options.cast_dataflow;
   Classifier classifier(module, copts);
@@ -133,7 +133,7 @@ void InstrumentModule(ir::Module& module, analysis::Protection protection,
     RemapOperands(*f, replacements);
   }
 
-  if (protection == analysis::Protection::kCpi) {
+  if (criterion == analysis::Criterion::kCpi) {
     module.protection().cpi = true;
   } else {
     module.protection().cps = true;
@@ -145,11 +145,11 @@ void InstrumentModule(ir::Module& module, analysis::Protection protection,
 }  // namespace
 
 void ApplyCpiRewrites(ir::Module& module, const PassOptions& options) {
-  InstrumentModule(module, analysis::Protection::kCpi, options, kCpiIntrinsics);
+  InstrumentModule(module, analysis::Criterion::kCpi, options, kCpiIntrinsics);
 }
 
 void ApplyCpsRewrites(ir::Module& module, const PassOptions& options) {
-  InstrumentModule(module, analysis::Protection::kCps, options, kCpsIntrinsics);
+  InstrumentModule(module, analysis::Criterion::kCps, options, kCpsIntrinsics);
 }
 
 void ApplyCpi(ir::Module& module, const PassOptions& options) {

@@ -34,7 +34,7 @@ void ApplyPtrEncRewrites(ir::Module& module, const PassOptions& options) {
   using ir::Value;
 
   analysis::ClassifyOptions copts;
-  copts.protection = analysis::Protection::kCps;
+  copts.criterion = analysis::Criterion::kCps;
   copts.char_star_heuristic = options.char_star_heuristic;
   copts.cast_dataflow = options.cast_dataflow;
   analysis::Classifier classifier(module, copts);

@@ -1,6 +1,6 @@
 // IRBuilder: convenience API for constructing IR with inferred result types.
-// All workload generators, the frontend lowering, and the tests build IR
-// through this class.
+// Every program is built through this class: the workload generators, the
+// fuzz generator, the attack matrix, the examples and the tests.
 #ifndef CPI_SRC_IR_BUILDER_H_
 #define CPI_SRC_IR_BUILDER_H_
 

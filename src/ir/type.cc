@@ -146,7 +146,8 @@ bool IsUniversalPointer(const Type* type) {
 }
 
 bool IsCodePointer(const Type* type) {
-  return type->IsPointer() && static_cast<const PointerType*>(type)->pointee()->IsFunction();
+  return type->IsPointer() &&
+         static_cast<const PointerType*>(type)->pointee()->kind() == TypeKind::kFunction;
 }
 
 }  // namespace cpi::ir

@@ -53,7 +53,6 @@ class Type {
   bool IsInt() const { return kind_ == TypeKind::kInt; }
   bool IsFloat() const { return kind_ == TypeKind::kFloat; }
   bool IsPointer() const { return kind_ == TypeKind::kPointer; }
-  bool IsFunction() const { return kind_ == TypeKind::kFunction; }
   bool IsStruct() const { return kind_ == TypeKind::kStruct; }
   bool IsArray() const { return kind_ == TypeKind::kArray; }
 

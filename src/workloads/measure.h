@@ -80,7 +80,7 @@ struct CellResult {
   analysis::ModuleStats stats;    // static stats under the cell's config
 };
 
-// Frontend-builds every workload once, in parallel across `jobs` threads
+// Builds every workload once, in parallel across `jobs` threads
 // (jobs <= 0 selects hardware concurrency; 1 is strictly serial).
 std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
     const std::vector<Workload>& workloads, int scale, int jobs = 1);

@@ -243,9 +243,9 @@ TEST(ClassifierTest, FunctionPointerLoadsAreProtectedUnderBoth) {
   (void)load;
   b.Ret(b.I64(0));
 
-  for (Protection p : {Protection::kCpi, Protection::kCps}) {
+  for (Criterion p : {Criterion::kCpi, Criterion::kCps}) {
     ClassifyOptions o;
-    o.protection = p;
+    o.criterion = p;
     Classifier c(m, o);
     const auto& fc = c.ForFunction(f);
     int protected_ops = 0;
@@ -254,7 +254,7 @@ TEST(ClassifierTest, FunctionPointerLoadsAreProtectedUnderBoth) {
         ++protected_ops;
       }
     }
-    EXPECT_EQ(protected_ops, 1) << (p == Protection::kCpi ? "cpi" : "cps");
+    EXPECT_EQ(protected_ops, 1) << (p == Criterion::kCpi ? "cpi" : "cps");
   }
 }
 
@@ -271,9 +271,9 @@ TEST(ClassifierTest, ObjectPointerOpsAreCpiOnlyNotCps) {
   b.Load(b.GlobalAddr(g));  // loads an obj* (sensitive for CPI, not CPS)
   b.Ret(b.I64(0));
 
-  auto count_protected = [&](Protection p) {
+  auto count_protected = [&](Criterion p) {
     ClassifyOptions o;
-    o.protection = p;
+    o.criterion = p;
     Classifier c(m, o);
     int n = 0;
     for (const auto& [inst, cls] : c.ForFunction(f).mem_ops) {
@@ -283,8 +283,8 @@ TEST(ClassifierTest, ObjectPointerOpsAreCpiOnlyNotCps) {
     }
     return n;
   };
-  EXPECT_EQ(count_protected(Protection::kCpi), 1);
-  EXPECT_EQ(count_protected(Protection::kCps), 0);
+  EXPECT_EQ(count_protected(Criterion::kCpi), 1);
+  EXPECT_EQ(count_protected(Criterion::kCps), 0);
 }
 
 TEST(ClassifierTest, CharStarHeuristicSuppressesStringOps) {
@@ -303,7 +303,7 @@ TEST(ClassifierTest, CharStarHeuristicSuppressesStringOps) {
 
   auto protected_count = [&](bool heuristic) {
     ClassifyOptions o;
-    o.protection = Protection::kCpi;
+    o.criterion = Criterion::kCpi;
     o.char_star_heuristic = heuristic;
     Classifier c(m, o);
     int n = 0;
@@ -336,7 +336,7 @@ TEST(ClassifierTest, CastDataflowTaintsIntSlots) {
 
   auto protected_count = [&](bool dataflow) {
     ClassifyOptions o;
-    o.protection = Protection::kCpi;
+    o.criterion = Criterion::kCpi;
     o.cast_dataflow = dataflow;
     Classifier c(m, o);
     int n = 0;

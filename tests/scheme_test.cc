@@ -64,6 +64,26 @@ TEST(SchemeRegistryTest, ReportingFiltersSelectTheEvaluationColumns) {
   }
 }
 
+// Table 2's static statistics classify the module under both criteria
+// themselves, so they are a property of the program: every scheme, composite
+// or not, reports the same ones.
+TEST(SchemeRegistryTest, CompileStatsAreTheSameUnderEveryScheme) {
+  const workloads::Workload& w = workloads::SpecCpu2006().front();
+  const analysis::ModuleStats vanilla =
+      core::Compiler(Config{}).Instrument(*w.build(1)).stats;
+  EXPECT_GT(vanilla.instrumented_cps, 0u);
+  for (const ProtectionScheme* s : SchemeRegistry::All()) {
+    Config config;
+    config.scheme = s;
+    const analysis::ModuleStats stats = core::Compiler(config).Instrument(*w.build(1)).stats;
+    EXPECT_EQ(stats.total_functions, vanilla.total_functions) << s->name();
+    EXPECT_EQ(stats.unsafe_frame_functions, vanilla.unsafe_frame_functions) << s->name();
+    EXPECT_EQ(stats.total_mem_ops, vanilla.total_mem_ops) << s->name();
+    EXPECT_EQ(stats.instrumented_cpi, vanilla.instrumented_cpi) << s->name();
+    EXPECT_EQ(stats.instrumented_cps, vanilla.instrumented_cps) << s->name();
+  }
+}
+
 // The pluggable extension point: an out-of-tree scheme registered at runtime
 // drives compilation and execution through Config::scheme.
 class NoopScheme final : public ProtectionScheme {

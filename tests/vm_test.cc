@@ -6,13 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "src/core/levee.h"
-#include "src/frontend/compile.h"
 #include "src/ir/builder.h"
 #include "src/support/oom.h"
 #include "src/vm/cache.h"
 #include "src/vm/layout.h"
 #include "src/vm/machine.h"
 #include "src/vm/memory.h"
+#include "src/workloads/common.h"
 
 namespace cpi::vm {
 namespace {
@@ -259,29 +259,54 @@ TEST(CacheTest, CapacityEviction) {
   EXPECT_EQ(cache.misses(), 4u);
 }
 
-// --- execution semantics via the C frontend ------------------------------------
+// --- execution semantics of built programs ------------------------------------
 
-std::vector<uint64_t> RunC(const std::string& source, RunStatus expect = RunStatus::kOk,
-                           core::Input input = {}) {
-  auto cr = frontend::CompileC(source);
-  EXPECT_TRUE(cr.ok()) << cr.error;
+// Opens `name` with the given signature and points `b` at its entry block.
+ir::Function* Define(ir::IRBuilder& b, const std::string& name, const ir::FunctionType* type) {
+  ir::Function* f = b.module()->CreateFunction(name, type);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  return f;
+}
+
+ir::Function* DefineMain(ir::IRBuilder& b) {
+  auto& t = b.module()->types();
+  return Define(b, "main", t.FunctionTy(t.I64(), {}));
+}
+
+// A NUL-terminated read-only char array, like a string literal.
+ir::GlobalVariable* StringConstant(ir::Module& m, const std::string& name,
+                                   const std::string& text) {
+  auto& t = m.types();
+  ir::GlobalVariable* g = m.CreateGlobal(name, t.ArrayOf(t.CharTy(), text.size() + 1), true);
+  const char* bytes = text.c_str();
+  g->set_initializer(std::vector<uint8_t>(bytes, bytes + text.size() + 1));
+  return g;
+}
+
+// Instruments `m` under `protection`, runs it and returns its output.
+std::vector<uint64_t> RunProgram(ir::Module& m, RunStatus expect = RunStatus::kOk,
+                                 const core::Input& input = {},
+                                 core::Protection protection = core::Protection::kNone) {
   core::Config config;
-  auto r = core::InstrumentAndRun(*cr.module, config, input);
+  config.protection = protection;
+  auto r = core::InstrumentAndRun(m, config, input);
   EXPECT_EQ(r.status, expect) << r.message;
   return r.output;
 }
 
 TEST(ExecTest, SignedArithmeticAndComparisons) {
-  auto out = RunC(R"(
-    int main() {
-      int a = 0 - 7;
-      output(a < 3);
-      output(a / 2);       // -3, C truncation toward zero
-      output(a % 2);       // -1
-      output((a < 0) + (a > 0 - 100));
-      return 0;
-    }
-  )");
+  ir::Module m("signed");
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  ir::Value* a = b.Alloca(m.types().I64(), "a");
+  b.Store(b.Sub(b.I64(0), b.I64(7)), a);
+  b.Output(b.ICmpSLt(b.Load(a), b.I64(3)));
+  b.Output(b.Binary(ir::BinOp::kSDiv, b.Load(a), b.I64(2)));  // -3, C truncation toward zero
+  b.Output(b.Binary(ir::BinOp::kSRem, b.Load(a), b.I64(2)));  // -1
+  b.Output(b.Add(b.ICmpSLt(b.Load(a), b.I64(0)),
+                 b.Binary(ir::BinOp::kSGt, b.Load(a), b.Sub(b.I64(0), b.I64(100)))));
+  b.Ret(b.I64(0));
+  auto out = RunProgram(m);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0], 1u);
   EXPECT_EQ(static_cast<int64_t>(out[1]), -3);
@@ -290,89 +315,361 @@ TEST(ExecTest, SignedArithmeticAndComparisons) {
 }
 
 TEST(ExecTest, CharNarrowingOnStore) {
-  auto out = RunC(R"(
-    int main() {
-      char c = 300;   // truncates to 44
-      output(c);
-      char buf[4];
-      buf[0] = 255;
-      output(buf[0]);
-      return 0;
-    }
-  )");
-  EXPECT_EQ(out, (std::vector<uint64_t>{44, 255}));
+  ir::Module m("narrow");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  ir::Value* c = b.Alloca(t.CharTy(), "c");
+  ir::Value* buf = b.Alloca(t.ArrayOf(t.CharTy(), 4), "buf");
+  b.Store(b.Cast(ir::CastKind::kTrunc, b.I64(300), t.CharTy()), c);  // truncates to 44
+  b.Output(b.Cast(ir::CastKind::kZExt, b.Load(c), t.I64()));
+  b.Store(b.Cast(ir::CastKind::kTrunc, b.I64(255), t.CharTy()), b.IndexAddr(buf, b.I64(0)));
+  b.Output(b.Cast(ir::CastKind::kZExt, b.Load(b.IndexAddr(buf, b.I64(0))), t.I64()));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{44, 255}));
 }
 
 TEST(ExecTest, FloatArithmetic) {
-  auto out = RunC(R"(
-    int main() {
-      float x = (float)7;
-      float y = x / (float)2;
-      output((int)(y * (float)1000));
-      return 0;
-    }
-  )");
-  EXPECT_EQ(out, (std::vector<uint64_t>{3500}));
+  ir::Module m("float");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  auto to_float = [&](uint64_t v) {
+    return b.Cast(ir::CastKind::kIntToFloat, b.I64(v), t.FloatTy());
+  };
+  ir::Value* x = b.Alloca(t.FloatTy(), "x");
+  ir::Value* y = b.Alloca(t.FloatTy(), "y");
+  b.Store(to_float(7), x);
+  b.Store(b.Binary(ir::BinOp::kFDiv, b.Load(x), to_float(2)), y);
+  ir::Value* scaled = b.Binary(ir::BinOp::kFMul, b.Load(y), to_float(1000));
+  b.Output(b.Cast(ir::CastKind::kFloatToInt, scaled, t.I64()));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{3500}));
 }
 
 TEST(ExecTest, DivisionByZeroCrashes) {
-  RunC("int main() { int z = input(); return 5 / z; }", RunStatus::kCrash);
+  ir::Module m("div0");
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  b.Ret(b.Binary(ir::BinOp::kSDiv, b.I64(5), b.Input()));  // no input words: 0
+  RunProgram(m, RunStatus::kCrash);
 }
 
 TEST(ExecTest, WildPointerCrashes) {
-  RunC("int main() { int* p = (int*)12345678901; return *p; }", RunStatus::kCrash);
+  ir::Module m("wild");
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  b.Ret(b.Load(b.IntToPtr(b.I64(12345678901), m.types().PointerTo(m.types().I64()))));
+  RunProgram(m, RunStatus::kCrash);
 }
 
 TEST(ExecTest, WriteToStringConstantCrashes) {
   // String literals live in read-only memory, like the paper's jump tables.
-  RunC(R"(
-    int main() {
-      char* s = "const";
-      s[0] = 'X';
-      return 0;
-    }
-  )",
-       RunStatus::kCrash);
+  ir::Module m("rodata");
+  ir::IRBuilder b(&m);
+  ir::GlobalVariable* str = StringConstant(m, "str", "const");
+  DefineMain(b);
+  b.Store(b.Char('X'), b.IndexAddr(b.GlobalAddr(str), b.I64(0)));
+  b.Ret(b.I64(0));
+  RunProgram(m, RunStatus::kCrash);
 }
 
 TEST(ExecTest, NullCallCrashes) {
-  RunC(R"(
-    void (*fp)();
-    int main() { fp(); return 0; }
-  )",
-       RunStatus::kCrash);
+  ir::Module m("nullcall");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  ir::GlobalVariable* fp = m.CreateGlobal("fp", t.PointerTo(t.FunctionTy(t.VoidTy(), {})));
+  DefineMain(b);
+  b.IndirectCall(b.Load(b.GlobalAddr(fp)), {});
+  b.Ret(b.I64(0));
+  RunProgram(m, RunStatus::kCrash);
 }
 
 TEST(ExecTest, InfiniteLoopRunsOutOfFuel) {
-  auto cr = frontend::CompileC("int main() { while (1) { } return 0; }");
-  ASSERT_TRUE(cr.ok());
+  ir::Module m("spin");
+  ir::IRBuilder b(&m);
+  ir::Function* main = DefineMain(b);
+  ir::BasicBlock* loop = main->CreateBlock("loop");
+  ir::BasicBlock* exit = main->CreateBlock("exit");
+  b.Br(loop);
+  b.SetInsertPoint(loop);
+  b.CondBr(b.I64(1), loop, exit);
+  b.SetInsertPoint(exit);
+  b.Ret(b.I64(0));
   core::Config config;
   config.max_steps = 10000;
-  auto r = core::InstrumentAndRun(*cr.module, config);
+  auto r = core::InstrumentAndRun(m, config);
   EXPECT_EQ(r.status, RunStatus::kOutOfFuel);
 }
 
 TEST(ExecTest, HeapReuseAfterFree) {
-  auto out = RunC(R"(
-    int main() {
-      int* a = (int*)malloc(16);
-      free(a);
-      int* b = (int*)malloc(16);
-      output(a == b);   // LIFO reuse: same address, different object
-      return 0;
-    }
-  )");
-  EXPECT_EQ(out, (std::vector<uint64_t>{1}));
+  ir::Module m("reuse");
+  ir::IRBuilder b(&m);
+  const ir::PointerType* i64_ptr = m.types().PointerTo(m.types().I64());
+  DefineMain(b);
+  ir::Value* a = b.Malloc(b.I64(16), i64_ptr);
+  b.Free(a);
+  ir::Value* again = b.Malloc(b.I64(16), i64_ptr);
+  // LIFO reuse: same address, different object.
+  b.Output(b.ICmpEq(b.PtrToInt(a), b.PtrToInt(again)));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{1}));
 }
 
 TEST(ExecTest, DoubleFreeCrashes) {
-  RunC("int main() { void* p = malloc(8); free(p); free(p); return 0; }",
-       RunStatus::kCrash);
+  ir::Module m("double_free");
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  ir::Value* p = b.Malloc(b.I64(8), m.types().VoidPtrTy());
+  b.Free(p);
+  b.Free(p);
+  b.Ret(b.I64(0));
+  RunProgram(m, RunStatus::kCrash);
 }
 
 TEST(ExecTest, RecursionDepthLimited) {
-  RunC("int f(int n) { return f(n + 1); } int main() { return f(0); }",
-       RunStatus::kCrash);
+  ir::Module m("deep");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  ir::Function* f = Define(b, "f", t.FunctionTy(t.I64(), {t.I64()}));
+  b.Ret(b.Call(f, {b.Add(f->arg(0), b.I64(1))}));
+  DefineMain(b);
+  b.Ret(b.Call(f, {b.I64(0)}));
+  RunProgram(m, RunStatus::kCrash);
+}
+
+// --- whole programs, compiled under a protection and run -------------------------
+
+TEST(CompileTest, ArithmeticAndControlFlow) {
+  ir::Module m("control");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  // fib(n) = n < 2 ? n : fib(n - 1) + fib(n - 2)
+  ir::Function* fib = Define(b, "fib", t.FunctionTy(t.I64(), {t.I64()}));
+  ir::Value* n = fib->arg(0);
+  ir::BasicBlock* base = fib->CreateBlock("base");
+  ir::BasicBlock* recurse = fib->CreateBlock("recurse");
+  b.CondBr(b.ICmpSLt(n, b.I64(2)), base, recurse);
+  b.SetInsertPoint(base);
+  b.Ret(n);
+  b.SetInsertPoint(recurse);
+  b.Ret(b.Add(b.Call(fib, {b.Sub(n, b.I64(1))}), b.Call(fib, {b.Sub(n, b.I64(2))})));
+
+  ir::Function* main = DefineMain(b);
+  ir::Value* sum = b.Alloca(t.I64(), "sum");
+  ir::Value* i = b.Alloca(t.I64(), "i");
+  ir::Value* x = b.Alloca(t.I64(), "x");
+  b.Output(b.Call(fib, {b.I64(12)}));
+  b.Store(b.I64(0), sum);
+  auto loop = workloads::BeginLoop(b, main, i, b.I64(0), b.I64(10), "for");
+  b.Store(b.Add(b.Load(sum), b.Mul(loop.index, loop.index)), sum);
+  workloads::EndLoop(b, loop);
+  b.Output(b.Load(sum));
+  // while (x > 3) x = x / 2;
+  b.Store(b.I64(100), x);
+  ir::BasicBlock* header = main->CreateBlock("while.header");
+  ir::BasicBlock* body = main->CreateBlock("while.body");
+  ir::BasicBlock* exit = main->CreateBlock("while.exit");
+  b.Br(header);
+  b.SetInsertPoint(header);
+  b.CondBr(b.Binary(ir::BinOp::kSGt, b.Load(x), b.I64(3)), body, exit);
+  b.SetInsertPoint(body);
+  b.Store(b.Binary(ir::BinOp::kSDiv, b.Load(x), b.I64(2)), x);
+  b.Br(header);
+  b.SetInsertPoint(exit);
+  b.Output(b.Load(x));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{144, 285, 3}));
+}
+
+TEST(CompileTest, PointersArraysAndStructs) {
+  ir::Module m("pointers");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  const ir::PointerType* i64_ptr = t.PointerTo(t.I64());
+  ir::StructType* point = t.GetOrCreateStruct("point");
+  point->SetBody({{"x", t.I64(), 0}, {"y", t.I64(), 0}});
+
+  // sum_array(a, n): the sum of a[0..n)
+  ir::Function* sum_array = Define(b, "sum_array", t.FunctionTy(t.I64(), {i64_ptr, t.I64()}));
+  ir::Value* s = b.Alloca(t.I64(), "s");
+  ir::Value* i = b.Alloca(t.I64(), "i");
+  b.Store(b.I64(0), s);
+  auto sum = workloads::BeginLoop(b, sum_array, i, b.I64(0), sum_array->arg(1), "sum");
+  b.Store(b.Add(b.Load(s), b.Load(b.IndexAddr(sum_array->arg(0), sum.index))), s);
+  workloads::EndLoop(b, sum);
+  b.Ret(b.Load(s));
+
+  ir::Function* main = DefineMain(b);
+  ir::Value* nums = b.Alloca(t.ArrayOf(t.I64(), 8), "nums");
+  ir::Value* j = b.Alloca(t.I64(), "j");
+  ir::Value* p = b.Alloca(point, "p");
+  ir::Value* q = b.Alloca(t.PointerTo(point), "q");
+  ir::Value* v = b.Alloca(t.I64(), "v");
+  ir::Value* pv = b.Alloca(i64_ptr, "pv");
+  auto fill = workloads::BeginLoop(b, main, j, b.I64(0), b.I64(8), "fill");
+  b.Store(b.Mul(fill.index, b.I64(3)), b.IndexAddr(nums, fill.index));
+  workloads::EndLoop(b, fill);
+  b.Output(b.Call(sum_array, {b.IndexAddr(nums, b.I64(0)), b.I64(8)}));
+
+  // p.x = 10; p.y = 32; q = &p; q->x = q->x + q->y; output(p.x)
+  b.Store(b.I64(10), b.FieldAddr(p, "x"));
+  b.Store(b.I64(32), b.FieldAddr(p, "y"));
+  b.Store(p, q);
+  ir::Value* qx = b.Load(b.FieldAddr(b.Load(q), "x"));
+  b.Store(b.Add(qx, b.Load(b.FieldAddr(b.Load(q), "y"))), b.FieldAddr(b.Load(q), "x"));
+  b.Output(b.Load(b.FieldAddr(p, "x")));
+
+  // v = 5; pv = &v; *pv = *pv * 9; output(v)
+  b.Store(b.I64(5), v);
+  b.Store(v, pv);
+  b.Store(b.Mul(b.Load(b.Load(pv)), b.I64(9)), b.Load(pv));
+  b.Output(b.Load(v));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{84, 42, 45}));
+}
+
+TEST(CompileTest, FunctionPointersAndDispatch) {
+  // struct op { char name[8]; i64 (*fn)(i64, i64); } table[4];
+  auto build = [] {
+    auto m = std::make_unique<ir::Module>("dispatch");
+    auto& t = m->types();
+    ir::IRBuilder b(m.get());
+    const ir::FunctionType* fn_ty = t.FunctionTy(t.I64(), {t.I64(), t.I64()});
+    ir::StructType* op = t.GetOrCreateStruct("op");
+    op->SetBody({{"name", t.ArrayOf(t.CharTy(), 8), 0}, {"fn", t.PointerTo(fn_ty), 0}});
+    ir::GlobalVariable* table = m->CreateGlobal("table", t.ArrayOf(op, 4));
+    ir::Function* add = Define(b, "add", fn_ty);
+    b.Ret(b.Add(add->arg(0), add->arg(1)));
+    ir::Function* mul = Define(b, "mul", fn_ty);
+    b.Ret(b.Mul(mul->arg(0), mul->arg(1)));
+
+    DefineMain(b);
+    ir::Value* f = b.Alloca(t.PointerTo(fn_ty), "f");
+    auto slot = [&](uint64_t i) {
+      return b.FieldAddr(b.IndexAddr(b.GlobalAddr(table), b.I64(i)), "fn");
+    };
+    b.Store(b.FuncAddr(add), slot(0));
+    b.Store(b.FuncAddr(mul), slot(1));
+    b.Store(b.Load(slot(0)), f);
+    b.Output(b.IndirectCall(b.Load(f), {b.I64(20), b.I64(22)}));
+    b.Store(b.Load(slot(1)), f);
+    b.Output(b.IndirectCall(b.Load(f), {b.I64(6), b.I64(7)}));
+    b.Ret(b.I64(0));
+    return m;
+  };
+  for (core::Protection p : {core::Protection::kNone, core::Protection::kCps,
+                             core::Protection::kCpi}) {
+    EXPECT_EQ(RunProgram(*build(), RunStatus::kOk, {}, p), (std::vector<uint64_t>{42, 42}))
+        << core::ProtectionName(p);
+  }
+}
+
+TEST(CompileTest, HeapAndVoidPointers) {
+  ir::Module m("void_ptr");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  const ir::PointerType* i64_ptr = t.PointerTo(t.I64());
+  DefineMain(b);
+  ir::Value* cell = b.Alloca(i64_ptr, "cell");
+  ir::Value* erased = b.Alloca(t.VoidPtrTy(), "erased");
+  ir::Value* back = b.Alloca(i64_ptr, "back");
+  b.Store(b.Bitcast(b.Malloc(b.I64(8), t.VoidPtrTy()), i64_ptr), cell);
+  b.Store(b.I64(1234), b.Load(cell));
+  b.Store(b.Bitcast(b.Load(cell), t.VoidPtrTy()), erased);
+  b.Store(b.Bitcast(b.Load(erased), i64_ptr), back);
+  b.Output(b.Load(b.Load(back)));
+  b.Free(b.Load(back));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m, RunStatus::kOk, {}, core::Protection::kCpi),
+            (std::vector<uint64_t>{1234}));
+}
+
+TEST(CompileTest, StringsAndLibc) {
+  ir::Module m("strings");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  ir::GlobalVariable* hello = StringConstant(m, "str.0", "hello");
+  ir::GlobalVariable* suffix = StringConstant(m, "str.1", " cpi");
+  ir::GlobalVariable* expected = StringConstant(m, "str.2", "hello cpi");
+  DefineMain(b);
+  ir::Value* buf = b.Alloca(t.ArrayOf(t.CharTy(), 32), "buf");
+  auto str = [&](ir::Value* array) { return b.IndexAddr(array, b.I64(0)); };
+  b.LibCall(ir::LibFunc::kStrcpy, {str(buf), str(b.GlobalAddr(hello))});
+  b.LibCall(ir::LibFunc::kStrcat, {str(buf), str(b.GlobalAddr(suffix))});
+  b.Output(b.LibCall(ir::LibFunc::kStrlen, {str(buf)}));
+  ir::Value* cmp = b.LibCall(ir::LibFunc::kStrcmp, {str(buf), str(b.GlobalAddr(expected))});
+  b.Output(b.ICmpEq(cmp, b.I64(0)));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(RunProgram(m), (std::vector<uint64_t>{9, 1}));
+}
+
+TEST(CompileTest, InputWordsReachProgram) {
+  ir::Module m("input");
+  ir::IRBuilder b(&m);
+  DefineMain(b);
+  ir::Value* first = b.Input();
+  b.Output(b.Add(first, b.Input()));
+  b.Ret(b.I64(0));
+  core::Input input;
+  input.words = {7, 35};
+  EXPECT_EQ(RunProgram(m, RunStatus::kOk, input), (std::vector<uint64_t>{42}));
+}
+
+// struct victim { char buf[16]; void (*fp)(); } v;
+// v.fp = legit; input_bytes(payload, 64); strcpy(v.buf, payload); v.fp();
+std::unique_ptr<ir::Module> BuildStrcpyVictim() {
+  auto m = std::make_unique<ir::Module>("victim");
+  auto& t = m->types();
+  ir::IRBuilder b(m.get());
+  const ir::FunctionType* fn_ty = t.FunctionTy(t.VoidTy(), {});
+  ir::StructType* victim = t.GetOrCreateStruct("victim");
+  victim->SetBody({{"buf", t.ArrayOf(t.CharTy(), 16), 0}, {"fp", t.PointerTo(fn_ty), 0}});
+  ir::GlobalVariable* v = m->CreateGlobal("v", victim);
+  Define(b, "gadget", fn_ty);
+  b.Output(b.I64(3735929054));
+  b.Ret();
+  ir::Function* legit = Define(b, "legit", fn_ty);
+  b.Output(b.I64(1));
+  b.Ret();
+
+  DefineMain(b);
+  ir::Value* payload = b.Alloca(t.ArrayOf(t.CharTy(), 64), "payload");
+  b.Store(b.FuncAddr(legit), b.FieldAddr(b.GlobalAddr(v), "fp"));
+  ir::Value* payload0 = b.IndexAddr(payload, b.I64(0));
+  b.LibCall(ir::LibFunc::kInputBytes, {payload0, b.I64(64)});
+  ir::Value* buf0 = b.IndexAddr(b.FieldAddr(b.GlobalAddr(v), "buf"), b.I64(0));
+  b.LibCall(ir::LibFunc::kStrcpy, {buf0, payload0});
+  b.IndirectCall(b.Load(b.FieldAddr(b.GlobalAddr(v), "fp")), {});
+  b.Ret(b.I64(0));
+  return m;
+}
+
+TEST(CompileTest, VulnerableStrcpyProgramBehavesLikeRipe) {
+  // The classic: a strcpy overflow into an adjacent function pointer. Under
+  // vanilla the gadget runs; under CPI it cannot.
+  auto probe = BuildStrcpyVictim();
+  const ProgramLayout layout = ComputeProgramLayout(*probe);
+  const uint64_t gadget = layout.CodeAddress(probe->FindFunction("gadget"));
+
+  core::Input payload;
+  payload.bytes.assign(16, 0x41);
+  for (int i = 0; i < 8; ++i) {
+    payload.bytes.push_back(static_cast<uint8_t>(gadget >> (8 * i)));
+  }
+  payload.bytes.push_back(0);
+
+  {
+    core::Config vanilla;
+    auto r = core::InstrumentAndRun(*BuildStrcpyVictim(), vanilla, payload);
+    EXPECT_TRUE(r.OutputContains(3735929054ull));  // hijacked
+  }
+  {
+    core::Config config;
+    config.protection = core::Protection::kCpi;
+    auto r = core::InstrumentAndRun(*BuildStrcpyVictim(), config, payload);
+    EXPECT_FALSE(r.OutputContains(3735929054ull));  // neutralised
+  }
 }
 
 // --- temporal extension ----------------------------------------------------------
@@ -427,19 +724,25 @@ TEST(IsolationTest, NoSafeRegionAddressIsEverStoredInRegularMemory) {
   // be inspected; here we assert the invariant structurally — safe-region
   // objects are only addressable through safe allocas, whose addresses the
   // escape analysis proves never leave the frame.
-  auto cr = frontend::CompileC(R"(
-    int helper(int x) { int local = x * 2; return local; }
-    int main() {
-      int acc = 0;
-      for (int i = 0; i < 50; i = i + 1) { acc = acc + helper(i); }
-      output(acc);
-      return 0;
-    }
-  )");
-  ASSERT_TRUE(cr.ok()) << cr.error;
+  ir::Module m("isolation");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  ir::Function* helper = Define(b, "helper", t.FunctionTy(t.I64(), {t.I64()}));
+  ir::Value* local = b.Alloca(t.I64(), "local");
+  b.Store(b.Mul(helper->arg(0), b.I64(2)), local);
+  b.Ret(b.Load(local));
+  ir::Function* main = DefineMain(b);
+  ir::Value* acc = b.Alloca(t.I64(), "acc");
+  ir::Value* i = b.Alloca(t.I64(), "i");
+  b.Store(b.I64(0), acc);
+  auto loop = workloads::BeginLoop(b, main, i, b.I64(0), b.I64(50), "for");
+  b.Store(b.Add(b.Load(acc), b.Call(helper, {loop.index})), acc);
+  workloads::EndLoop(b, loop);
+  b.Output(b.Load(acc));
+  b.Ret(b.I64(0));
   core::Config config;
   config.protection = core::Protection::kCpi;
-  auto r = core::InstrumentAndRun(*cr.module, config);
+  auto r = core::InstrumentAndRun(m, config);
   ASSERT_EQ(r.status, RunStatus::kOk) << r.message;
   for (uint64_t word : r.output) {
     EXPECT_FALSE(IsInSafeRegion(word));
@@ -456,45 +759,59 @@ TEST(LayoutTest, AddressClassifiers) {
 }
 
 TEST(LayoutTest, ProgramLayoutIsDeterministic) {
-  auto cr = frontend::CompileC(R"(
-    int g1;
-    const char msg[4];
-    int f() { return 1; }
-    int main() { return f(); }
-  )");
-  ASSERT_TRUE(cr.ok()) << cr.error;
-  ProgramLayout a = ComputeProgramLayout(*cr.module);
-  ProgramLayout b = ComputeProgramLayout(*cr.module);
-  EXPECT_EQ(a.code, b.code);
-  EXPECT_EQ(a.globals, b.globals);
+  ir::Module m("layout");
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  m.CreateGlobal("g1", t.I64());
+  m.CreateGlobal("msg", t.ArrayOf(t.CharTy(), 4), true);
+  ir::Function* f = Define(b, "f", t.FunctionTy(t.I64(), {}));
+  b.Ret(b.I64(1));
+  ir::Function* main = DefineMain(b);
+  b.Ret(b.Call(f, {}));
+  ProgramLayout a = ComputeProgramLayout(m);
+  ProgramLayout again = ComputeProgramLayout(m);
+  EXPECT_EQ(a.code, again.code);
+  EXPECT_EQ(a.globals, again.globals);
   // Functions get distinct, stride-separated code addresses.
-  const uint64_t f_addr = a.CodeAddress(cr.module->FindFunction("f"));
-  const uint64_t main_addr = a.CodeAddress(cr.module->FindFunction("main"));
+  const uint64_t f_addr = a.CodeAddress(f);
+  const uint64_t main_addr = a.CodeAddress(main);
   EXPECT_NE(f_addr, main_addr);
   EXPECT_EQ((f_addr - kCodeBase) % kCodeStride, 0u);
 }
 
+// fp = idf; for (i = 0; i < 100; ++i) acc += fp(i); output(acc)
+void BuildDispatchLoop(ir::Module& m) {
+  auto& t = m.types();
+  ir::IRBuilder b(&m);
+  const ir::FunctionType* fn_ty = t.FunctionTy(t.I64(), {t.I64()});
+  ir::GlobalVariable* fp = m.CreateGlobal("fp", t.PointerTo(fn_ty));
+  ir::Function* idf = Define(b, "idf", fn_ty);
+  b.Ret(idf->arg(0));
+  ir::Function* main = DefineMain(b);
+  ir::Value* acc = b.Alloca(t.I64(), "acc");
+  ir::Value* i = b.Alloca(t.I64(), "i");
+  b.Store(b.FuncAddr(idf), b.GlobalAddr(fp));
+  b.Store(b.I64(0), acc);
+  auto loop = workloads::BeginLoop(b, main, i, b.I64(0), b.I64(100), "for");
+  ir::Value* call = b.IndirectCall(b.Load(b.GlobalAddr(fp)), {loop.index});
+  b.Store(b.Add(b.Load(acc), call), acc);
+  workloads::EndLoop(b, loop);
+  b.Output(b.Load(acc));
+  b.Ret(b.I64(0));
+}
+
 TEST(CountersTest, InstrumentationAddsSafeStoreTraffic) {
-  const char* source = R"(
-    int (*fp)(int);
-    int idf(int x) { return x; }
-    int main() {
-      fp = idf;
-      int acc = 0;
-      for (int i = 0; i < 100; i = i + 1) { acc = acc + fp(i); }
-      output(acc);
-      return 0;
-    }
-  )";
-  auto vanilla_module = frontend::CompileC(source).module;
+  ir::Module vanilla_module("vanilla");
+  BuildDispatchLoop(vanilla_module);
   core::Config vanilla;
-  auto base = core::InstrumentAndRun(*vanilla_module, vanilla);
+  auto base = core::InstrumentAndRun(vanilla_module, vanilla);
   EXPECT_EQ(base.counters.safe_store_ops, 0u);
 
-  auto cpi_module = frontend::CompileC(source).module;
+  ir::Module cpi_module("cpi");
+  BuildDispatchLoop(cpi_module);
   core::Config config;
   config.protection = core::Protection::kCpi;
-  auto r = core::InstrumentAndRun(*cpi_module, config);
+  auto r = core::InstrumentAndRun(cpi_module, config);
   EXPECT_GT(r.counters.safe_store_ops, 100u);  // one per dispatch at least
   EXPECT_GT(r.counters.cycles, base.counters.cycles);
   EXPECT_EQ(r.output, base.output);

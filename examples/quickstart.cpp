@@ -35,9 +35,6 @@ int main() {
                                       cpi::attacks::Location::kGlobal,
                                       cpi::attacks::Target::kStructFuncPtr};
   auto program = cpi::attacks::BuildAttackProgram(spec);
-  for (const auto& f : program->functions()) {
-    f->RenumberValues();  // readable %N value names
-  }
   std::printf("%s\n", cpi::ir::PrintModule(*program).c_str());
 
   std::printf("== vanilla build ==\n");

@@ -347,6 +347,10 @@ class AttackProgramBuilder {
         b.IndirectCall(m, {});
         break;
       }
+      case Target::kSafeStackSlot:
+        // Cross-thread rows only, and Build() takes BuildCrossThread for
+        // those before any vulnerable function is emitted.
+        CPI_UNREACHABLE();
     }
   }
 

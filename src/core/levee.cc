@@ -28,18 +28,30 @@ void VerifyOrDie(const ir::Module& module, const char* when) {
 
 }  // namespace
 
+analysis::ModuleStats StaticStats(const ir::Module& module, const Config& config) {
+  analysis::ClassifyOptions copts;
+  copts.char_star_heuristic = config.char_star_heuristic;
+  copts.cast_dataflow = config.cast_dataflow;
+  return analysis::ComputeModuleStats(module, copts);
+}
+
 CompileOutput Compiler::Instrument(ir::Module& module) const {
   VerifyOrDie(module, "before instrumentation");
+  return InstrumentVerified(module, StaticStats(module, config_));
+}
 
+CompileOutput Compiler::Instrument(ir::Module& module, const analysis::ModuleStats& stats) const {
+  VerifyOrDie(module, "before instrumentation");
+  return InstrumentVerified(module, stats);
+}
+
+CompileOutput Compiler::InstrumentVerified(ir::Module& module,
+                                           const analysis::ModuleStats& stats) const {
   const ProtectionScheme& scheme = SchemeFor(config_);
 
   CompileOutput out;
   out.instructions_before = module.InstructionCount();
-
-  analysis::ClassifyOptions copts;
-  copts.char_star_heuristic = config_.char_star_heuristic;
-  copts.cast_dataflow = config_.cast_dataflow;
-  out.stats = analysis::ComputeModuleStats(module, copts);
+  out.stats = stats;
 
   instrument::PassOptions popts;
   popts.char_star_heuristic = config_.char_star_heuristic;

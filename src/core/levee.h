@@ -126,6 +126,11 @@ struct CompileOutput {
   opt::OptReport opt;                   // empty at O0
 };
 
+// Table 2's static statistics of `module` under `config`'s classifier
+// switches (char_star_heuristic, cast_dataflow); nothing else in `config`
+// changes them.
+analysis::ModuleStats StaticStats(const ir::Module& module, const Config& config);
+
 class Compiler {
  public:
   explicit Compiler(const Config& config) : config_(config) {}
@@ -135,9 +140,18 @@ class Compiler {
   // instrumentation.
   CompileOutput Instrument(ir::Module& module) const;
 
+  // Same, with the static statistics supplied instead of computed here: a
+  // caller that instruments many identical copies of one program (the
+  // measurement cells) classifies it once. Precondition: `stats` is
+  // StaticStats(module, config()) of `module` as passed, before any
+  // instrumentation — for a clone, of the module it was cloned from.
+  CompileOutput Instrument(ir::Module& module, const analysis::ModuleStats& stats) const;
+
   const Config& config() const { return config_; }
 
  private:
+  CompileOutput InstrumentVerified(ir::Module& module, const analysis::ModuleStats& stats) const;
+
   Config config_;
 };
 

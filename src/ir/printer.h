@@ -10,8 +10,13 @@
 
 namespace cpi::ir {
 
+// Within a function every value prints under a unique name: its own, with a
+// .N suffix if an earlier value took it, or %vN for an unnamed value at
+// register position N. Printing never renumbers the module.
 std::string PrintModule(const Module& module);
 std::string PrintFunction(const Function& function);
+// A lone instruction has no function to number against: unnamed values
+// print with their current register id.
 std::string PrintInstruction(const Instruction& inst);
 
 }  // namespace cpi::ir

@@ -1,6 +1,6 @@
 #include "src/ir/verifier.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace cpi::ir {
@@ -25,8 +25,45 @@ class Verifier {
   }
 
  private:
+  // Where an error is reported: the function and block, formatted only when
+  // an error is actually recorded.
+  struct Where {
+    const Function* f;
+    const BasicBlock* bb;
+  };
+
   void Error(const std::string& where, const std::string& what) {
     errors_.push_back(where + ": " + what);
+  }
+  void Error(const Where& where, const std::string& what) {
+    Error(where.f->name() + "/" + where.bb->name(), what);
+  }
+
+  // Operand ownership: `slot_[i]` is the value at register position i of the
+  // function being verified (args, then block instructions in order), which
+  // is the id RenumberValues assigns. A value whose id indexes itself is
+  // owned; anything else (never numbered, stale id, another function's
+  // value) falls back to an exact search of a sorted copy of the table.
+  bool Owns(const Value* v) {
+    const uint32_t id = v->value_id();
+    if (id < slot_.size() && slot_[id] == v) {
+      return true;
+    }
+    return InSorted(slot_, sorted_slots_, v);
+  }
+
+  bool OwnsBlock(const BasicBlock* bb) { return InSorted(blocks_, sorted_blocks_, bb); }
+
+  // Exact membership in `table`, via `sorted` — a sorted copy made on first
+  // use for the current function.
+  template <typename T>
+  static bool InSorted(const std::vector<const T*>& table, std::vector<const T*>& sorted,
+                       const T* p) {
+    if (sorted.empty() && !table.empty()) {
+      sorted = table;
+      std::sort(sorted.begin(), sorted.end());
+    }
+    return std::binary_search(sorted.begin(), sorted.end(), p);
   }
 
   void VerifyFunction(const Function& f) {
@@ -35,24 +72,22 @@ class Verifier {
       return;
     }
 
-    // Collect all values defined in this function so operand ownership can be
-    // validated.
-    std::set<const Value*> defined;
+    slot_.clear();
+    sorted_slots_.clear();
+    blocks_.clear();
+    sorted_blocks_.clear();
     for (const auto& arg : f.args()) {
-      defined.insert(arg.get());
+      slot_.push_back(arg.get());
     }
     for (const auto& bb : f.blocks()) {
+      blocks_.push_back(bb.get());
       for (const Instruction* inst : bb->instructions()) {
-        defined.insert(inst);
+        slot_.push_back(inst);
       }
-    }
-    std::set<const BasicBlock*> blocks;
-    for (const auto& bb : f.blocks()) {
-      blocks.insert(bb.get());
     }
 
     for (const auto& bb : f.blocks()) {
-      const std::string where = f.name() + "/" + bb->name();
+      const Where where{&f, bb.get()};
       if (bb->instructions().empty()) {
         Error(where, "empty block");
         continue;
@@ -66,13 +101,13 @@ class Verifier {
           Error(where, "terminator in the middle of a block");
         }
         for (const Value* op : inst->operands()) {
-          if (!op->IsConstant() && defined.count(op) == 0) {
+          if (!op->IsConstant() && !Owns(op)) {
             Error(where, std::string(OpcodeName(inst->op())) +
                              " uses a value from another function");
           }
         }
         for (size_t s = 0; s < inst->successor_count(); ++s) {
-          if (blocks.count(inst->successor(s)) == 0) {
+          if (!OwnsBlock(inst->successor(s))) {
             Error(where, "branch to a block of another function");
           }
         }
@@ -85,7 +120,7 @@ class Verifier {
     return static_cast<const PointerType*>(v->type())->pointee();
   }
 
-  void VerifyInstruction(const std::string& where, const Function& f, const Instruction& inst) {
+  void VerifyInstruction(const Where& where, const Function& f, const Instruction& inst) {
     auto expect_operands = [&](size_t n) {
       if (inst.operands().size() != n) {
         std::ostringstream os;
@@ -429,6 +464,11 @@ class Verifier {
 
   const Module& module_;
   std::vector<std::string> errors_;
+  // Per-function tables, reused across functions.
+  std::vector<const Value*> slot_;
+  std::vector<const Value*> sorted_slots_;
+  std::vector<const BasicBlock*> blocks_;
+  std::vector<const BasicBlock*> sorted_blocks_;
 };
 
 }  // namespace

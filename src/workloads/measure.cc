@@ -1,6 +1,7 @@
 #include "src/workloads/measure.h"
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -42,11 +43,13 @@ std::vector<const ir::Module*> ModuleViews(
   return views;
 }
 
-CellResult RunCell(const ir::Module& built, const Workload& workload,
-                   const MeasureCell& cell) {
+namespace {
+
+CellResult RunCellWithStats(const ir::Module& built, const Workload& workload,
+                            const MeasureCell& cell, const analysis::ModuleStats& stats) {
   auto module = ir::CloneModule(built);
   core::Compiler compiler(cell.config);
-  const core::CompileOutput co = compiler.Instrument(*module);
+  const core::CompileOutput co = compiler.Instrument(*module, stats);
   const vm::RunResult r = core::Run(*module, cell.config, workload.input);
   CellResult out;
   out.status = r.status;
@@ -59,8 +62,6 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
   out.stats = co.stats;
   return out;
 }
-
-namespace {
 
 // For each cell, the position of the first cell with the same content.
 std::vector<size_t> FirstOccurrences(const std::vector<MeasureCell>& cells) {
@@ -78,20 +79,54 @@ std::vector<size_t> FirstOccurrences(const std::vector<MeasureCell>& cells) {
 
 }  // namespace
 
+CellResult RunCell(const ir::Module& built, const Workload& workload,
+                   const MeasureCell& cell) {
+  return RunCellWithStats(built, workload, cell, core::StaticStats(built, cell.config));
+}
+
 std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
                                  const std::vector<const ir::Module*>& built,
                                  const std::vector<MeasureCell>& cells, int jobs) {
   CPI_CHECK(workloads.size() == built.size());
   const std::vector<size_t> first = FirstOccurrences(cells);
-  std::vector<CellResult> results(cells.size());
+
+  // Static stats depend only on the built program and the classifier
+  // switches, not on the scheme or the run: compute them once per distinct
+  // (workload, char_star_heuristic, cast_dataflow), on the built module that
+  // every cell's clone reproduces.
+  using StatsKey = std::tuple<size_t, bool, bool>;
+  std::map<StatsKey, size_t> stats_keys;
+  std::vector<size_t> stats_cell;             // a cell of each key
+  std::vector<size_t> stats_of(cells.size());  // cell -> key index
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (first[i] != i) {
+      continue;
+    }
+    const MeasureCell& cell = cells[i];
+    CPI_CHECK(cell.workload < built.size());
+    const StatsKey key{cell.workload, cell.config.char_star_heuristic,
+                       cell.config.cast_dataflow};
+    const auto [it, inserted] = stats_keys.emplace(key, stats_cell.size());
+    if (inserted) {
+      stats_cell.push_back(i);
+    }
+    stats_of[i] = it->second;
+  }
+  std::vector<analysis::ModuleStats> stats(stats_cell.size());
   ThreadPool pool(jobs);
+  pool.ParallelFor(stats.size(), [&](size_t k) {
+    const MeasureCell& cell = cells[stats_cell[k]];
+    stats[k] = core::StaticStats(*built[cell.workload], cell.config);
+  });
+
+  std::vector<CellResult> results(cells.size());
   pool.ParallelFor(cells.size(), [&](size_t i) {
     if (first[i] != i) {
       return;  // a repeat: copied from its first occurrence below
     }
     const MeasureCell& cell = cells[i];
-    CPI_CHECK(cell.workload < built.size());
-    results[i] = RunCell(*built[cell.workload], workloads[cell.workload], cell);
+    results[i] = RunCellWithStats(*built[cell.workload], workloads[cell.workload], cell,
+                                  stats[stats_of[i]]);
   });
   for (size_t i = 0; i < cells.size(); ++i) {
     results[i] = results[first[i]];

@@ -97,7 +97,9 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
 // `cells`, regardless of the execution interleaving. Cells are addressed by
 // content: within one call, cells with equal (workload, core::ConfigFields)
 // run once and every position gets that one result, so callers may request
-// a cell as often as their tables need it.
+// a cell as often as their tables need it. Static stats (CellResult::stats)
+// are computed once per (workload, char_star_heuristic, cast_dataflow) on
+// the built module and handed to every such cell's compile.
 std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
                                  const std::vector<const ir::Module*>& built,
                                  const std::vector<MeasureCell>& cells, int jobs = 1);

@@ -3,6 +3,11 @@
 // printer.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "src/ir/builder.h"
 #include "src/ir/module.h"
 #include "src/ir/printer.h"
@@ -200,6 +205,15 @@ TEST(VerifierTest, DetectsStoreTypeMismatch) {
   EXPECT_NE(errors[0].find("store"), std::string::npos);
 }
 
+bool HasError(const std::vector<std::string>& errors, const std::string& what) {
+  for (const auto& e : errors) {
+    if (e.find(what) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(VerifierTest, DetectsCrossFunctionValueUse) {
   Module m("bad");
   auto& types = m.types();
@@ -215,15 +229,101 @@ TEST(VerifierTest, DetectsCrossFunctionValueUse) {
   Instruction* ret = g->CreateInstruction(Opcode::kRet, types.VoidTy());
   ret->AddOperand(v);
   b.insert_block()->Append(ret);
-  auto errors = VerifyModule(m);
-  ASSERT_FALSE(errors.empty());
-  bool found = false;
-  for (const auto& e : errors) {
-    if (e.find("another function") != std::string::npos) {
-      found = true;
+  EXPECT_TRUE(HasError(VerifyModule(m), "another function"));
+}
+
+TEST(VerifierTest, DetectsForeignOperandWhoseIdIsAValidPosition) {
+  // Both functions are renumbered, so main's load and g's load share id 1:
+  // the id alone cannot tell them apart, ownership must.
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  Function* g = m.CreateFunction("g", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  Value* v = b.Load(b.Alloca(types.I64()));
+  b.Ret(v);
+  b.SetInsertPoint(g->CreateBlock("entry"));
+  b.Load(b.Alloca(types.I64()));
+  Instruction* ret = g->CreateInstruction(Opcode::kRet, types.VoidTy());
+  ret->AddOperand(v);
+  b.insert_block()->Append(ret);
+  f->RenumberValues();
+  g->RenumberValues();
+  ASSERT_EQ(v->value_id(), 1u);
+  ASSERT_EQ(g->blocks()[0]->instructions()[1]->value_id(), 1u);
+  EXPECT_TRUE(HasError(VerifyModule(m), "ret uses a value from another function"));
+}
+
+TEST(VerifierTest, DetectsUseOfInstructionDroppedFromItsBlock) {
+  // `x` leaves the block but `y` still uses it; after renumbering, x's stale
+  // id 1 is the position of the instruction that replaced it.
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  BasicBlock* entry = f->CreateBlock("entry");
+  b.SetInsertPoint(entry);
+  Instruction* slot = b.Alloca(types.I64());
+  Value* x = b.Load(slot);
+  Value* y = b.Add(x, b.I64(1));
+  b.Ret(y);
+  f->RenumberValues();
+  ASSERT_EQ(x->value_id(), 1u);
+  std::vector<Instruction*> insts = entry->instructions();
+  Instruction* z = f->CreateInstruction(Opcode::kLoad, types.I64());
+  z->AddOperand(slot);
+  insts[1] = z;
+  entry->ReplaceInstructions(std::move(insts));
+  f->RenumberValues();
+  ASSERT_EQ(z->value_id(), 1u);
+  ASSERT_EQ(x->value_id(), 1u);
+  EXPECT_TRUE(HasError(VerifyModule(m), "binop uses a value from another function"));
+}
+
+TEST(VerifierTest, DetectsBranchToAnotherFunctionsBlock) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  Function* g = m.CreateFunction("g", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  BasicBlock* g_entry = g->CreateBlock("entry");
+  b.SetInsertPoint(g_entry);
+  b.Ret(b.I64(0));
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  b.Br(g_entry);
+  f->RenumberValues();
+  g->RenumberValues();
+  EXPECT_TRUE(HasError(VerifyModule(m), "branch to a block of another function"));
+}
+
+TEST(VerifierTest, NeverNumberedModuleVerifiesClean) {
+  // Straight from IRBuilder: no value has an id, so every ownership check
+  // takes the exact fallback.
+  Module m("fresh");
+  auto& types = m.types();
+  Function* inc = m.CreateFunction("inc", types.FunctionTy(types.I64(), {types.I64()}));
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(inc->CreateBlock("entry"));
+  b.Ret(b.Add(inc->args()[0].get(), b.I64(1)));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Value* slot = b.Alloca(types.I64(), "x");
+  b.Store(b.I64(2), slot);
+  BasicBlock* then = main->CreateBlock("then");
+  BasicBlock* done = main->CreateBlock("done");
+  b.CondBr(b.ICmpSLt(b.Load(slot), b.I64(5)), then, done);
+  b.SetInsertPoint(then);
+  b.Store(b.Call(inc, {b.Load(slot)}), slot);
+  b.Br(done);
+  b.SetInsertPoint(done);
+  b.Ret(b.Load(slot));
+  for (const auto& bb : main->blocks()) {
+    for (const Instruction* inst : bb->instructions()) {
+      ASSERT_EQ(inst->value_id(), kInvalidValueId);
     }
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(VerifyModule(m), std::vector<std::string>{});
 }
 
 TEST(VerifierTest, DetectsBadCast) {
@@ -266,6 +366,35 @@ TEST(PrinterTest, PrintsReadableFunction) {
   EXPECT_NE(text.find("alloca i64"), std::string::npos);
   EXPECT_NE(text.find("add"), std::string::npos);
   EXPECT_NE(text.find("ret"), std::string::npos);
+}
+
+TEST(PrinterTest, FreshModuleNamesEveryValueOnce) {
+  // Never numbered, with a repeated name (`fp` twice, as RIPE programs do)
+  // and unnamed values; printing must not number the module either.
+  Module m("fresh");
+  auto& types = m.types();
+  StructType* st = types.GetOrCreateStruct("holder");
+  st->SetBody({{"fp", types.I64(), 0}});
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Value* obj = b.Alloca(st);
+  Value* fp = b.FieldAddr(obj, "fp");  // named after the field
+  Value* loaded = b.Load(fp, "fp");
+  b.Ret(b.Add(loaded, b.I64(1)));
+  const std::string text = PrintModule(m);
+  EXPECT_EQ(text.find("4294967295"), std::string::npos) << text;
+  std::set<std::string> defined;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t eq = line.find(" = ");
+    if (line.rfind("  %", 0) == 0 && eq != std::string::npos) {
+      EXPECT_TRUE(defined.insert(line.substr(2, eq - 2)).second) << line;
+    }
+  }
+  EXPECT_EQ(defined, (std::set<std::string>{"%v0", "%fp", "%fp.1", "%v3"})) << text;
+  EXPECT_NE(text.find("%fp.1 = load %fp\n"), std::string::npos) << text;
+  EXPECT_EQ(obj->value_id(), kInvalidValueId);
 }
 
 TEST(ModuleTest, ComputeAddressTaken) {

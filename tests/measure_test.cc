@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "src/attacks/ripe.h"
+#include "src/ir/builder.h"
+#include "src/ir/clone.h"
 #include "src/support/pool.h"
 #include "src/workloads/measure.h"
 
@@ -364,6 +366,78 @@ TEST(MeasureDifferentialTest, SerialAndParallelAgreeWithRepeats) {
     SCOPED_TRACE("cell " + std::to_string(i));
     ExpectSameResult(serial[i], parallel[i]);
   }
+}
+
+// A program whose Table 2 stats move with both §3.2.1 switches (no bench
+// workload's do): a char* that flows into strlen, and an i64 slot whose value
+// is cast to a function pointer.
+std::unique_ptr<cpi::ir::Module> BuildSwitchSensitiveProgram(int /*scale*/) {
+  auto m = std::make_unique<cpi::ir::Module>("switch-sensitive");
+  auto& t = m->types();
+  cpi::ir::GlobalVariable* msg = m->CreateGlobal("msg", t.ArrayOf(t.CharTy(), 8), true);
+  cpi::ir::Function* f = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
+  cpi::ir::IRBuilder b(m.get());
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  cpi::ir::Value* str = b.IndexAddr(b.GlobalAddr(msg), b.I64(0));
+  b.Store(str, b.Alloca(t.CharPtrTy()));
+  b.LibCall(cpi::ir::LibFunc::kStrlen, {str});
+  cpi::ir::Value* raw = b.Alloca(t.I64(), "raw");
+  b.Store(b.I64(0), raw);
+  b.IntToPtr(b.Load(raw), t.PointerTo(t.FunctionTy(t.VoidTy(), {})));
+  b.Ret(b.I64(0));
+  return m;
+}
+
+TEST(MeasureDifferentialTest, StatsComputedOncePerProgramMatchPerCellCompiles) {
+  // RunCells classifies each built program once per classifier setting and
+  // hands the stats to every cell's compile; each cell's stats must still be
+  // what compiling its own clone computes.
+  const std::vector<Workload> workloads = {
+      Workload{"switch-sensitive", "C", BuildSwitchSensitiveProgram, {}},
+      *cpi::workloads::FindWorkload("464.h264ref")};
+  const auto built = cpi::workloads::BuildWorkloads(workloads, /*scale=*/1);
+  const auto views = cpi::workloads::ModuleViews(built);
+  std::vector<MeasureCell> cells;
+  for (size_t wi : {0u, 1u}) {
+    for (const cpi::core::ProtectionScheme* scheme : cpi::core::SchemeRegistry::All()) {
+      for (int opt_level : {0, 1}) {
+        for (int variant = 0; variant < 3; ++variant) {
+          MeasureCell cell;
+          cell.workload = wi;
+          cell.config.scheme = scheme;
+          cell.config.opt_level = opt_level;
+          cell.config.char_star_heuristic = variant != 1;
+          cell.config.cast_dataflow = variant != 2;
+          cells.push_back(cell);
+        }
+      }
+    }
+  }
+  const auto serial = cpi::workloads::RunCells(workloads, views, cells, /*jobs=*/1);
+  const auto parallel = cpi::workloads::RunCells(workloads, views, cells, /*jobs=*/4);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(parallel.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const MeasureCell& cell = cells[i];
+    SCOPED_TRACE(workloads[cell.workload].name + " " + cell.config.scheme->name() + " O" +
+                 std::to_string(cell.config.opt_level) +
+                 " char*:" + std::to_string(cell.config.char_star_heuristic) +
+                 " cast:" + std::to_string(cell.config.cast_dataflow));
+    const auto clone = cpi::ir::CloneModule(*views[cell.workload]);
+    const cpi::analysis::ModuleStats own =
+        cpi::core::Compiler(cell.config).Instrument(*clone).stats;
+    for (const CellResult* r : {&serial[i], &parallel[i]}) {
+      EXPECT_EQ(r->stats.total_functions, own.total_functions);
+      EXPECT_EQ(r->stats.unsafe_frame_functions, own.unsafe_frame_functions);
+      EXPECT_EQ(r->stats.total_mem_ops, own.total_mem_ops);
+      EXPECT_EQ(r->stats.instrumented_cpi, own.instrumented_cpi);
+      EXPECT_EQ(r->stats.instrumented_cps, own.instrumented_cps);
+    }
+  }
+  // Cells 0, 1, 2: the first scheme at O0 with both switches on, the
+  // heuristic off, the dataflow off. Each variant is its own stats key.
+  EXPECT_LT(serial[0].stats.instrumented_cpi, serial[1].stats.instrumented_cpi);
+  EXPECT_GT(serial[0].stats.instrumented_cpi, serial[2].stats.instrumented_cpi);
 }
 
 TEST(AttackMatrixDifferentialTest, SerialAndParallelMatrixAgree) {

@@ -1,5 +1,8 @@
 #include "src/vm/cache.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "src/support/check.h"
 
 namespace cpi::vm {
@@ -20,42 +23,41 @@ uint64_t Log2(uint64_t v) {
 
 CacheModel::CacheModel() : CacheModel(Config{}) {}
 
-CacheModel::CacheModel(const Config& config) : config_(config) {
-  CPI_CHECK(config_.line_bytes > 0 && config_.ways > 0);
+CacheModel::CacheModel(const Config& config) : config_(config), ways_(config.ways) {
+  CPI_CHECK(config_.line_bytes > 1 && ways_ > 0);
   CPI_CHECK(IsPowerOfTwo(config_.line_bytes));
-  num_sets_ = config_.size_bytes / (config_.line_bytes * config_.ways);
-  CPI_CHECK(num_sets_ > 0 && IsPowerOfTwo(num_sets_));
+  const uint64_t num_sets = config_.size_bytes / (config_.line_bytes * ways_);
+  CPI_CHECK(num_sets > 0 && IsPowerOfTwo(num_sets));
   line_shift_ = Log2(config_.line_bytes);
-  set_mask_ = num_sets_ - 1;
-  lines_.assign(num_sets_ * config_.ways, Line{});
-  set_tick_.assign(num_sets_, 0);
+  set_mask_ = num_sets - 1;
+  constexpr uint64_t kHostLineWords = 64 / sizeof(uint64_t);
+  tag_storage_.resize(num_sets * ways_ + kHostLineWords - 1);
+  const uintptr_t misalign = reinterpret_cast<uintptr_t>(tag_storage_.data()) % 64;
+  tags_ = tag_storage_.data() + (misalign == 0 ? 0 : (64 - misalign) / sizeof(uint64_t));
+  lru_.resize(num_sets * ways_);
+  set_tick_.resize(num_sets);
+  Reset();
 }
 
-uint64_t CacheModel::Miss(Line* set_lines, uint64_t line_addr, uint64_t tick) {
-  // Fill the LRU way.
+uint64_t CacheModel::Miss(uint64_t base, uint64_t line_addr, uint64_t tick) {
+  const uint64_t* lru = &lru_[base];
   uint64_t victim = 0;
-  for (uint64_t w = 1; w < config_.ways; ++w) {
-    if (!set_lines[w].valid ||
-        (set_lines[victim].valid && set_lines[w].lru < set_lines[victim].lru)) {
+  for (uint64_t w = 1; w < ways_ && lru[victim] != 0; ++w) {
+    if (lru[w] < lru[victim]) {
       victim = w;
     }
-    if (!set_lines[victim].valid) {
-      break;
-    }
   }
-  set_lines[victim] = Line{line_addr, tick, true};
+  tags_[base + victim] = line_addr;
+  lru_[base + victim] = tick;
   ++misses_;
   return config_.miss_cycles;
 }
 
 void CacheModel::Reset() {
   hits_ = misses_ = 0;
-  for (Line& l : lines_) {
-    l = Line{};
-  }
-  for (uint64_t& t : set_tick_) {
-    t = 0;
-  }
+  std::fill(tags_, tags_ + lru_.size(), kInvalidTag);
+  std::fill(lru_.begin(), lru_.end(), 0);
+  std::fill(set_tick_.begin(), set_tick_.end(), 0);
 }
 
 }  // namespace cpi::vm

@@ -24,25 +24,30 @@ class CacheModel {
 
   CacheModel();
   explicit CacheModel(const Config& config);
+  // tags_ points into tag_storage_.
+  CacheModel(const CacheModel&) = delete;
+  CacheModel& operator=(const CacheModel&) = delete;
 
   // Returns the cycle cost of accessing `addr` and updates cache state.
   // Defined in the header so the execution loops can inline it — with tens
   // of millions of calls per benchmark cell this is the hottest leaf of the
-  // whole cost model.
+  // whole cost model. The probe reads tags only: a set's tags are
+  // contiguous (an 8-way set is one 64-byte host line), and an empty way
+  // holds kInvalidTag, which no line address equals.
   uint64_t Access(uint64_t addr) {
     const uint64_t line_addr = addr >> line_shift_;
     const uint64_t set = line_addr & set_mask_;
+    const uint64_t base = set * ways_;
+    const uint64_t* tags = tags_ + base;
     const uint64_t tick = ++set_tick_[set];
-    Line* set_lines = &lines_[set * config_.ways];
-
-    for (uint64_t w = 0; w < config_.ways; ++w) {
-      if (set_lines[w].valid && set_lines[w].tag == line_addr) {
-        set_lines[w].lru = tick;
+    for (uint64_t w = 0; w < ways_; ++w) {
+      if (tags[w] == line_addr) {
+        lru_[base + w] = tick;
         ++hits_;
         return config_.hit_cycles;
       }
     }
-    return Miss(set_lines, line_addr, tick);
+    return Miss(base, line_addr, tick);
   }
 
   uint64_t hits() const { return hits_; }
@@ -51,25 +56,30 @@ class CacheModel {
   void Reset();
 
  private:
-  struct Line {
-    uint64_t tag = 0;
-    uint64_t lru = 0;
-    bool valid = false;
-  };
+  // Line addresses are addr >> line_shift_ with line_shift_ >= 1, so they
+  // never reach all-ones.
+  static constexpr uint64_t kInvalidTag = ~0ULL;
 
-  // Miss path: fill the LRU way. Out of line — misses are the rare case and
-  // keeping the fill loop out of the inlined probe keeps the hot path small.
-  uint64_t Miss(Line* set_lines, uint64_t line_addr, uint64_t tick);
+  // Miss path: fill the least recently used way. An empty way has lru 0 and
+  // a filled one the tick of its last access (>= 1), so the first minimum is
+  // an empty way while the set has one — fill empty ways first, then evict
+  // the LRU line. Out of line — misses are the rare case and keeping the
+  // fill loop out of the inlined probe keeps the hot path small.
+  uint64_t Miss(uint64_t base, uint64_t line_addr, uint64_t tick);
 
   Config config_;
-  uint64_t num_sets_;
+  uint64_t ways_;
   // Precomputed at construction (line size and set count are required to be
   // powers of two): every Access is then shift+mask, no division.
   uint64_t line_shift_;
   uint64_t set_mask_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  std::vector<Line> lines_;      // num_sets_ * ways
+  // Way w of set s is entry s * ways_ + w of tags_ and lru_. tags_ is
+  // 64-byte aligned inside tag_storage_, so no set straddles host lines.
+  std::vector<uint64_t> tag_storage_;
+  uint64_t* tags_ = nullptr;   // line address, or kInvalidTag
+  std::vector<uint64_t> lru_;  // tick of the way's last access; 0 when empty
   // One LRU clock per set instead of a global tick: recency ordering within
   // a set (all that LRU replacement consults) is unchanged.
   std::vector<uint64_t> set_tick_;

@@ -65,7 +65,6 @@ std::unique_ptr<DecodedFunction> DecodeFunction(const Function& fn,
     pc += static_cast<uint32_t>(bb->instructions().size());
   }
   out->ops.reserve(pc);
-  out->insts.reserve(pc);
 
   const bool safe_stack = module.protection().safe_stack;
 
@@ -73,7 +72,6 @@ std::unique_ptr<DecodedFunction> DecodeFunction(const Function& fn,
   for (const auto& bb : fn.blocks()) {
     for (const Instruction* inst : bb->instructions()) {
       DecodedOp op;
-      out->insts.push_back(inst);
       op.dest = inst->value_id();
       const auto& operands = inst->operands();
       switch (inst->op()) {
@@ -144,6 +142,7 @@ std::unique_ptr<DecodedFunction> DecodeFunction(const Function& fn,
           break;
         case Opcode::kCall:
           op.op = MicroOp::kCall;
+          op.dest = inst->type()->IsVoid() ? ir::kInvalidValueId : op.dest;
           op.imm = inst->callee()->ordinal();  // resolved via module at run time
           op.arg_begin = static_cast<uint32_t>(out->args.size());
           CPI_CHECK(operands.size() <= UINT16_MAX);
@@ -154,6 +153,7 @@ std::unique_ptr<DecodedFunction> DecodeFunction(const Function& fn,
           break;
         case Opcode::kIndirectCall:
           op.op = MicroOp::kIndirectCall;
+          op.dest = inst->type()->IsVoid() ? ir::kInvalidValueId : op.dest;
           op.a = SlotFor(operands[0]);
           op.arg_begin = static_cast<uint32_t>(out->args.size());
           CPI_CHECK(operands.size() - 1 <= UINT16_MAX);

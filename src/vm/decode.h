@@ -226,10 +226,6 @@ struct DecodedFunction {
   const ir::Function* func = nullptr;
   std::vector<DecodedOp> ops;     // blocks flattened in block order
   std::vector<OperandSlot> args;  // call-argument slot pool
-  // Cold side table, parallel to `ops`: the IR instruction each op was
-  // decoded from. Only the call path reads it at run time
-  // (Frame::pending_call and return-value plumbing).
-  std::vector<const ir::Instruction*> insts;
   // Op index of each basic block's first op, in block order (fusion never
   // crosses these; tests introspect them).
   std::vector<uint32_t> block_starts;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <new>
 #include <unordered_map>
 
@@ -77,11 +78,109 @@ struct HeapBlock {
   bool live = false;
 };
 
+// The registers of one thread's frames: a stack of (value, metadata) slots
+// carved from chunks that never move, so a frame's registers stay put while
+// deeper frames come and go. Popping a frame hands its slots to the next
+// call; chunks live until the run ends, so a call allocates nothing once
+// the thread has reached its deepest stack. Chunks are allocated
+// uninitialised: a slot is written (zeroed) only when a frame takes it, so
+// a run pays for the registers it uses, not for the chunk.
+class FrameStorage {
+ public:
+  // Where the stack stood before a Push; Pop(mark) returns it there.
+  struct Mark {
+    int32_t chunk = -1;
+    uint32_t used = 0;
+  };
+
+  FrameStorage() = default;
+  FrameStorage(const FrameStorage&) = delete;
+  FrameStorage& operator=(const FrameStorage&) = delete;
+  ~FrameStorage() { Release(); }
+
+  // `n` zeroed slots on top of the stack, written to *regs / *meta.
+  Mark Push(uint32_t n, uint64_t** regs, RegMeta** meta) {
+    const Mark mark{chunk_, used_};
+    if (n > capacity_ - used_) {
+      NextChunk(n);
+    }
+    *regs = regs_ + used_;
+    *meta = meta_ + used_;
+    std::uninitialized_fill_n(*regs, n, 0);
+    std::uninitialized_fill_n(*meta, n, RegMeta::None());
+    used_ += n;
+    return mark;
+  }
+  void Pop(const Mark& mark) {
+    if (mark.chunk != chunk_) {
+      Enter(mark.chunk);
+    }
+    used_ = mark.used;
+  }
+  // Frees every chunk; the stack must be empty (its thread has finished).
+  void Release() {
+    for (const Chunk& c : chunks_) {
+      std::allocator<uint64_t>().deallocate(c.regs, c.capacity);
+      std::allocator<RegMeta>().deallocate(c.meta, c.capacity);
+    }
+    chunks_.clear();
+    Enter(-1);
+    used_ = 0;
+  }
+
+ private:
+  static constexpr uint32_t kFirstChunkSlots = 32;
+
+  struct Chunk {
+    uint64_t* regs;
+    RegMeta* meta;
+    uint32_t capacity;
+  };
+
+  // Moves to the first later chunk that holds `n` slots, allocating one
+  // (at least twice the last) when none does.
+  void NextChunk(uint32_t n) {
+    int32_t next = chunk_ + 1;
+    while (next < static_cast<int32_t>(chunks_.size()) && chunks_[next].capacity < n) {
+      ++next;
+    }
+    if (next == static_cast<int32_t>(chunks_.size())) {
+      const uint32_t capacity =
+          std::max(n, chunks_.empty() ? kFirstChunkSlots : 2 * chunks_.back().capacity);
+      chunks_.push_back(Chunk{std::allocator<uint64_t>().allocate(capacity),
+                              std::allocator<RegMeta>().allocate(capacity), capacity});
+    }
+    Enter(next);
+    used_ = 0;
+  }
+  void Enter(int32_t chunk) {
+    chunk_ = chunk;
+    if (chunk < 0) {
+      regs_ = nullptr;
+      meta_ = nullptr;
+      capacity_ = 0;
+      return;
+    }
+    regs_ = chunks_[chunk].regs;
+    meta_ = chunks_[chunk].meta;
+    capacity_ = chunks_[chunk].capacity;
+  }
+
+  std::vector<Chunk> chunks_;
+  // The current chunk (-1 before the first push) and its cached fields.
+  int32_t chunk_ = -1;
+  uint32_t used_ = 0;
+  uint32_t capacity_ = 0;
+  uint64_t* regs_ = nullptr;
+  RegMeta* meta_ = nullptr;
+};
+
 class Machine {
  public:
   Machine(const ir::Module& module, const RunOptions& options)
       : module_(module),
         options_(options),
+        regular_extra_cycles_(options.isolation == IsolationKind::kSfi ? kSfiMaskCycles : 0),
         store_(options.use_safe_store
                    ? runtime::CreateSafeStore(options.store,
                                               std::max<uint32_t>(options.shards, 1),
@@ -125,14 +224,19 @@ class Machine {
  private:
   struct Frame {
     const Function* func = nullptr;
-    std::vector<uint64_t> regs;
-    std::vector<RegMeta> meta;
+    // register_count() slots in the thread's FrameStorage.
+    uint64_t* regs = nullptr;
+    RegMeta* meta = nullptr;
+    FrameStorage::Mark storage_mark;  // the storage top before this frame
     const BasicBlock* bb = nullptr;
     // Decoded engine: the function's micro-op array. `ip` then indexes into
     // it (the reference interpreter indexes bb->instructions() instead).
     const DecodedFunction* dfunc = nullptr;
     size_t ip = 0;
-    const Instruction* pending_call = nullptr;
+    // Set while this frame waits on a call: where the callee's return value
+    // goes (ir::kInvalidValueId for a void call).
+    bool call_pending = false;
+    uint32_t call_dest = ir::kInvalidValueId;
     uint64_t saved_sp = 0;
     uint64_t saved_safe_sp = 0;
     uint64_t ret_slot = 0;       // address of the saved-return-token word
@@ -170,6 +274,7 @@ class Machine {
     RegMeta exit_meta;
 
     std::vector<Frame> frames;
+    FrameStorage storage;  // the frames' registers
     uint64_t sp = 0;
     uint64_t safe_sp = 0;
     uint64_t token_counter = 0;
@@ -198,13 +303,20 @@ class Machine {
   // while aggregation still happens for contained-OOM runs.
   void RunToCompletion();
 
-  // --- fault injection -----------------------------------------------------
-  // Armed from RunOptions::faults. The loops compare the instruction counter
-  // against fault_at_ (UINT64_MAX when no event is pending), so a run
-  // without a plan pays one never-taken branch per dispatch and nothing
-  // else. Fault actions charge no simulated cycles: they model an external
-  // adversary / failing host, not program work.
-  __attribute__((noinline, cold)) void ApplyPendingFaults();
+  // --- step budget and fault injection -------------------------------------
+  // The loops compare the instruction counter against stop_at_ — the step
+  // budget or the next FaultPlan event (RunOptions::faults), whichever comes
+  // first — so a run pays one never-taken branch per dispatch for both.
+  // ReachStop traps out of fuel (returning false: the loop must stop) or
+  // fires the due fault events. Fault actions charge no simulated cycles:
+  // they model an external adversary / failing host, not program work.
+  __attribute__((noinline, cold)) bool ReachStop();
+  void ArmStop() {
+    stop_at_ = options_.max_steps;
+    if (next_fault_ < fault_events_.size()) {
+      stop_at_ = std::min(stop_at_, fault_events_[next_fault_].at_instruction);
+    }
+  }
   void InjectFault(const FaultEvent& e);
 
   // --- trap handling -------------------------------------------------------
@@ -235,11 +347,9 @@ class Machine {
     ++result_.counters.mem_accesses;
     Cycles(cur_->cache.Access(addr));
   }
-  void ChargeRegularAccess(uint64_t addr) {
+  __attribute__((always_inline)) void ChargeRegularAccess(uint64_t addr) {
     ChargeAccess(addr);
-    if (options_.isolation == IsolationKind::kSfi) {
-      Cycles(kSfiMaskCycles);  // the SFI mask on every regular access
-    }
+    Cycles(regular_extra_cycles_);
   }
 
   // --- value plumbing ------------------------------------------------------
@@ -286,23 +396,108 @@ class Machine {
   };
 
   // --- routed memory access ------------------------------------------------
-  // Returns the backing memory for `addr`, enforcing safe-region isolation:
-  // only accesses whose provenance (`meta`) proves a compiler-generated
-  // safe-stack object may touch the safe region. Returns nullptr after
-  // trapping.
-  ByteMemory* Route(uint64_t addr, const RegMeta& meta, bool for_write);
-  bool DataRead(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t* out);
-  bool DataWrite(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t value);
+  // Resolve maps `*addr` to its backing memory, enforcing safe-region
+  // isolation (§3.2.3): only accesses whose provenance (`meta`) proves a
+  // compiler-generated safe-stack object may touch the safe region. The two
+  // common cases — a regular-region address and a proved safe-stack object —
+  // are resolved inline; any other safe-region address goes to Route, out of
+  // line. Every data access, scalar and libc byte alike, resolves here, so
+  // the isolation mechanisms treat both paths the same.
+  __attribute__((always_inline)) ByteMemory* Resolve(uint64_t* addr, const RegMeta& meta) {
+    if (!IsInSafeRegion(*addr)) [[likely]] {
+      return &regular_;
+    }
+    if (meta.IsSafeValue() && meta.kind == EntryKind::kData && meta.lower >= kSafeRegionBase &&
+        meta.lower <= meta.upper) {
+      return &SafeStackOf(*addr, meta.lower);
+    }
+    return Route(addr);
+  }
+  // Safe stacks are per-thread ByteMemory instances; the address (or, off
+  // the end of a region, the provenance base) selects the owning thread, so
+  // pointers to safe-stack objects passed between threads keep working — the
+  // safe region is one shared address space, as in the paper. A derived
+  // address landing in no thread's region faults on the base object's (or
+  // the current thread's) memory, exactly as an out-of-region access faulted
+  // on the old single safe-stack instance.
+  ByteMemory& SafeStackOf(uint64_t addr, uint64_t base) {
+    uint64_t owner = SafeStackOwnerOf(addr);
+    if (owner >= threads_.size()) {
+      owner = SafeStackOwnerOf(base);
+    }
+    return owner < threads_.size() ? threads_[owner]->safe_stack : cur_->safe_stack;
+  }
+  // A safe-region address without safe-stack provenance — a forged or
+  // corrupted pointer — meets the isolation mechanism: segment limits and
+  // information hiding trap (nullptr), SFI masks `*addr` back into the
+  // regular region.
+  __attribute__((noinline, cold)) ByteMemory* Route(uint64_t* addr);
+  __attribute__((always_inline)) void ChargeResolved(const ByteMemory* mem, uint64_t addr) {
+    if (mem == &regular_) {
+      ChargeRegularAccess(addr);
+    } else {
+      ChargeAccess(addr);
+    }
+  }
+  __attribute__((always_inline)) bool DataRead(uint64_t addr, uint64_t size,
+                                               const RegMeta& addr_meta, uint64_t* out) {
+    ByteMemory* mem = Resolve(&addr, addr_meta);
+    if (mem == nullptr) {
+      return false;
+    }
+    if (mem->Read(addr, out, size) != MemFault::kNone) {
+      return MemoryFault(MemFault::kUnmapped, /*write=*/false);
+    }
+    ChargeResolved(mem, addr);
+    return true;
+  }
+  __attribute__((always_inline)) bool DataWrite(uint64_t addr, uint64_t size,
+                                                const RegMeta& addr_meta, uint64_t value) {
+    ByteMemory* mem = Resolve(&addr, addr_meta);
+    if (mem == nullptr) {
+      return false;
+    }
+    if (const MemFault fault = mem->Write(addr, &value, size); fault != MemFault::kNone) {
+      return MemoryFault(fault, /*write=*/true);
+    }
+    ChargeResolved(mem, addr);
+    return true;
+  }
+  // Crashes the run on a faulting data access; returns false.
+  __attribute__((noinline, cold)) bool MemoryFault(MemFault fault, bool write) {
+    Crash(!write ? "fault: read of unmapped address"
+          : fault == MemFault::kReadOnly ? "fault: write to read-only memory"
+                                         : "fault: write to unmapped address");
+    return false;
+  }
 
   // Byte-granular helpers for the libc-style routines; charge per 8-byte
   // chunk.
-  bool ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out);
-  bool WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value);
+  bool ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out) {
+    ByteMemory* mem = Resolve(&addr, meta);
+    if (mem == nullptr) {
+      return false;
+    }
+    return mem->ReadByte(addr, out) == MemFault::kNone ||
+           MemoryFault(MemFault::kUnmapped, /*write=*/false);
+  }
+  bool WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value) {
+    ByteMemory* mem = Resolve(&addr, meta);
+    if (mem == nullptr) {
+      return false;
+    }
+    const MemFault fault = mem->WriteByte(addr, value);
+    return fault == MemFault::kNone || MemoryFault(fault, /*write=*/true);
+  }
   void ChargeChunked(uint64_t addr, uint64_t len);
 
   // --- frames ---------------------------------------------------------------
-  bool PushFrame(const Function* callee, const std::vector<uint64_t>& args,
-                 const std::vector<RegMeta>& arg_meta, bool no_continuation);
+  // Pushes a frame for `callee` on the current thread. Its registers start
+  // zeroed; `set_arg(i, &value, &meta)` then writes argument i straight into
+  // the callee's slot. Returns false after trapping.
+  template <typename SetArg>
+  bool PushFrame(const Function* callee, bool no_continuation, const SetArg& set_arg);
+  static void NoArgs(size_t, uint64_t*, RegMeta*) {}
   void PopFrame();
   void ReturnToCaller(uint64_t value, const RegMeta& meta);
 
@@ -655,6 +850,9 @@ class Machine {
   bool done_ = false;
 
   ByteMemory regular_;     // Mu (shared by every thread)
+  // Charged on every regular-region access on top of the cache: the SFI
+  // mask under IsolationKind::kSfi, nothing otherwise.
+  const uint64_t regular_extra_cycles_;
   std::unique_ptr<runtime::SafePointerStore> store_;  // shared safe store
   runtime::PointerSealer sealer_;
   runtime::TemporalIdService temporal_;
@@ -704,10 +902,10 @@ class Machine {
   size_t input_byte_pos_ = 0;
 
   // Fault plan, sorted by firing point; next_fault_ indexes the next unfired
-  // event and fault_at_ caches its firing instruction count.
+  // event. stop_at_ is the loops' gate (ArmStop).
   std::vector<FaultEvent> fault_events_;
   size_t next_fault_ = 0;
-  uint64_t fault_at_ = ~0ULL;
+  uint64_t stop_at_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -777,28 +975,7 @@ RegMeta Machine::EvalMeta(const Frame& f, const Value* v) const {
 // ---------------------------------------------------------------------------
 // Routed memory access: the isolation mechanism of §3.2.3.
 
-ByteMemory* Machine::Route(uint64_t addr, const RegMeta& meta, bool for_write) {
-  if (!IsInSafeRegion(addr)) {
-    return &regular_;
-  }
-  // Compiler-generated access to a safe-stack object: the provenance of the
-  // address proves it is based on an object that itself lives in the safe
-  // region. Anything else — a forged or corrupted address — hits the
-  // isolation mechanism. Safe stacks are per-thread ByteMemory instances;
-  // the address (or, off the end of a region, the provenance base) selects
-  // the owning thread, so pointers to safe-stack objects passed between
-  // threads keep working — the safe region is one shared address space, as
-  // in the paper. A derived address landing in no thread's region faults on
-  // the base object's (or the current thread's) memory, exactly as an
-  // out-of-region access faulted on the old single safe-stack instance.
-  if (meta.IsSafeValue() && meta.kind == EntryKind::kData && meta.lower >= kSafeRegionBase &&
-      meta.lower <= meta.upper) {
-    uint64_t owner = SafeStackOwnerOf(addr);
-    if (owner >= threads_.size()) {
-      owner = SafeStackOwnerOf(meta.lower);
-    }
-    return owner < threads_.size() ? &threads_[owner]->safe_stack : &cur_->safe_stack;
-  }
+ByteMemory* Machine::Route(uint64_t* addr) {
   switch (options_.isolation) {
     case IsolationKind::kSegment:
       // Segment limits: the hardware faults immediately.
@@ -809,89 +986,12 @@ ByteMemory* Machine::Route(uint64_t addr, const RegMeta& meta, bool for_write) {
       // never leaks to the regular region; a guessed address is unmapped.
       Crash("fault: access to unmapped address (safe region is hidden)");
       return nullptr;
-    case IsolationKind::kSfi: {
+    case IsolationKind::kSfi:
       // The masked address falls back into the regular region.
-      (void)for_write;
+      *addr &= kSafeRegionBase - 1;
       return &regular_;
-    }
   }
   CPI_UNREACHABLE();
-}
-
-bool Machine::DataRead(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t* out) {
-  ByteMemory* mem = Route(addr, addr_meta, /*for_write=*/false);
-  if (mem == nullptr) {
-    return false;
-  }
-  uint64_t effective = addr;
-  if (mem == &regular_ && IsInSafeRegion(addr)) {
-    effective = addr & (kSafeRegionBase - 1);  // SFI mask
-  }
-  uint64_t raw = 0;
-  const MemFault fault = mem->Read(effective, &raw, size);
-  if (fault != MemFault::kNone) {
-    Crash("fault: read of unmapped address");
-    return false;
-  }
-  if (mem == &regular_) {
-    ChargeRegularAccess(effective);
-  } else {
-    ChargeAccess(effective);
-  }
-  *out = raw;
-  return true;
-}
-
-bool Machine::DataWrite(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t value) {
-  ByteMemory* mem = Route(addr, addr_meta, /*for_write=*/true);
-  if (mem == nullptr) {
-    return false;
-  }
-  uint64_t effective = addr;
-  if (mem == &regular_ && IsInSafeRegion(addr)) {
-    effective = addr & (kSafeRegionBase - 1);
-  }
-  const MemFault fault = mem->Write(effective, &value, size);
-  if (fault == MemFault::kUnmapped) {
-    Crash("fault: write to unmapped address");
-    return false;
-  }
-  if (fault == MemFault::kReadOnly) {
-    Crash("fault: write to read-only memory");
-    return false;
-  }
-  if (mem == &regular_) {
-    ChargeRegularAccess(effective);
-  } else {
-    ChargeAccess(effective);
-  }
-  return true;
-}
-
-bool Machine::ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out) {
-  ByteMemory* mem = Route(addr, meta, /*for_write=*/false);
-  if (mem == nullptr) {
-    return false;
-  }
-  if (mem->ReadByte(addr, out) != MemFault::kNone) {
-    Crash("fault: read of unmapped address");
-    return false;
-  }
-  return true;
-}
-
-bool Machine::WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value) {
-  ByteMemory* mem = Route(addr, meta, /*for_write=*/true);
-  if (mem == nullptr) {
-    return false;
-  }
-  const MemFault fault = mem->WriteByte(addr, value);
-  if (fault != MemFault::kNone) {
-    Crash(fault == MemFault::kReadOnly ? "fault: write to read-only memory"
-                                       : "fault: write to unmapped address");
-    return false;
-  }
-  return true;
 }
 
 void Machine::ChargeChunked(uint64_t addr, uint64_t len) {
@@ -906,8 +1006,8 @@ void Machine::ChargeChunked(uint64_t addr, uint64_t len) {
 // ---------------------------------------------------------------------------
 // Frames
 
-bool Machine::PushFrame(const Function* callee, const std::vector<uint64_t>& args,
-                        const std::vector<RegMeta>& arg_meta, bool no_continuation) {
+template <typename SetArg>
+bool Machine::PushFrame(const Function* callee, bool no_continuation, const SetArg& set_arg) {
   if (cur_->frames.size() > 2000) {
     Crash("stack overflow: call depth limit");
     return false;
@@ -917,12 +1017,11 @@ bool Machine::PushFrame(const Function* callee, const std::vector<uint64_t>& arg
 
   Frame f;
   f.func = callee;
-  f.regs.assign(callee->register_count(), 0);
-  f.meta.assign(callee->register_count(), RegMeta::None());
-  CPI_CHECK(args.size() == callee->args().size());
-  for (size_t i = 0; i < args.size(); ++i) {
-    f.regs[callee->args()[i]->value_id()] = args[i];
-    f.meta[callee->args()[i]->value_id()] = arg_meta[i];
+  f.storage_mark = cur_->storage.Push(callee->register_count(), &f.regs, &f.meta);
+  const auto& params = callee->args();
+  for (size_t i = 0; i < params.size(); ++i) {
+    const uint32_t id = params[i]->value_id();
+    set_arg(i, &f.regs[id], &f.meta[id]);
   }
   f.bb = callee->entry();
   if (decoded_ != nullptr) {
@@ -957,6 +1056,7 @@ bool Machine::PushFrame(const Function* callee, const std::vector<uint64_t>& arg
       cur_->ret_chain_head = slot_word;
     }
     if (cur_->safe_stack.WriteU64(f.ret_slot, slot_word) != MemFault::kNone) {
+      cur_->storage.Pop(f.storage_mark);
       Crash("stack overflow: safe stack exhausted");
       return false;
     }
@@ -980,6 +1080,7 @@ bool Machine::PushFrame(const Function* callee, const std::vector<uint64_t>& arg
       cur_->ret_chain_head = slot_word;
     }
     if (regular_.WriteU64(f.ret_slot, slot_word) != MemFault::kNone) {
+      cur_->storage.Pop(f.storage_mark);
       Crash("stack overflow: stack exhausted");
       return false;
     }
@@ -998,8 +1099,10 @@ bool Machine::PushFrame(const Function* callee, const std::vector<uint64_t>& arg
 
 void Machine::PopFrame() {
   CPI_CHECK(!cur_->frames.empty());
-  cur_->sp = cur_->frames.back().saved_sp;
-  cur_->safe_sp = cur_->frames.back().saved_safe_sp;
+  const Frame& f = cur_->frames.back();
+  cur_->sp = f.saved_sp;
+  cur_->safe_sp = f.saved_safe_sp;
+  cur_->storage.Pop(f.storage_mark);
   cur_->frames.pop_back();
 }
 
@@ -1014,7 +1117,9 @@ void Machine::ReturnToCaller(uint64_t value, const RegMeta& meta) {
       return;
     }
     // A worker's root function returned: park the thread's result for join
-    // and wake any thread already blocked on it.
+    // and wake any thread already blocked on it. It will push no frame
+    // again, so its register storage goes back now.
+    cur_->storage.Release();
     cur_->state = ThreadContext::State::kDone;
     cur_->exit_value = value;
     cur_->exit_meta = meta;
@@ -1027,11 +1132,11 @@ void Machine::ReturnToCaller(uint64_t value, const RegMeta& meta) {
     return;
   }
   Frame& caller = cur_->frames.back();
-  CPI_CHECK(caller.pending_call != nullptr);
-  if (!caller.pending_call->type()->IsVoid()) {
-    SetReg(caller, caller.pending_call, value, meta);
+  CPI_CHECK(caller.call_pending);
+  if (caller.call_dest != ir::kInvalidValueId) {
+    SetRegId(caller, caller.call_dest, value, meta);
   }
-  caller.pending_call = nullptr;
+  caller.call_pending = false;
   ++caller.ip;
 }
 
@@ -1072,8 +1177,8 @@ void Machine::RunToCompletion() {
                      [](const FaultEvent& a, const FaultEvent& b) {
                        return a.at_instruction < b.at_instruction;
                      });
-    fault_at_ = fault_events_.front().at_instruction;
   }
+  ArmStop();
   if (options_.engine != EngineKind::kReference) {
     // One-time translation to the flat micro-op form — plus the fusion pass
     // on the fused tier — cached for the whole run (the decoded module
@@ -1086,18 +1191,14 @@ void Machine::RunToCompletion() {
   const Function* main_fn = module_.FindFunction("main");
   CPI_CHECK(main_fn != nullptr);
   CPI_CHECK(main_fn->args().empty());
-  PushFrame(main_fn, {}, {}, /*no_continuation=*/false);
+  PushFrame(main_fn, /*no_continuation=*/false, NoArgs);
 
   quantum_left_ = std::max<uint64_t>(options_.quantum, 1);
   switch (options_.engine) {
     case EngineKind::kReference:
       while (!done_) {
-        if (result_.counters.instructions >= options_.max_steps) {
-          Trap(RunStatus::kOutOfFuel, Violation::kNone, "step budget exhausted");
+        if (result_.counters.instructions >= stop_at_ && !ReachStop()) {
           break;
-        }
-        if (result_.counters.instructions >= fault_at_) {
-          ApplyPendingFaults();
         }
         Step();
         if ((resched_ || --quantum_left_ == 0) && !done_) {
@@ -1112,15 +1213,18 @@ void Machine::RunToCompletion() {
   }
 }
 
-void Machine::ApplyPendingFaults() {
+bool Machine::ReachStop() {
   const uint64_t now = result_.counters.instructions;
+  if (now >= options_.max_steps) {
+    Trap(RunStatus::kOutOfFuel, Violation::kNone, "step budget exhausted");
+    return false;
+  }
   while (next_fault_ < fault_events_.size() &&
          fault_events_[next_fault_].at_instruction <= now) {
     InjectFault(fault_events_[next_fault_++]);
   }
-  fault_at_ = next_fault_ < fault_events_.size()
-                  ? fault_events_[next_fault_].at_instruction
-                  : ~0ULL;
+  ArmStop();
+  return true;
 }
 
 void Machine::InjectFault(const FaultEvent& e) {
@@ -1547,14 +1651,13 @@ void Machine::DoCast(Frame& f, CastKind kind, int src_bits, int dst_bits, const 
 
 void Machine::ExecCallCommon(Frame& f, const Instruction* inst, const Function* callee,
                              size_t first_arg_index) {
-  std::vector<uint64_t> args;
-  std::vector<RegMeta> metas;
-  for (size_t i = first_arg_index; i < inst->operands().size(); ++i) {
-    args.push_back(Eval(f, inst->operand(i)));
-    metas.push_back(EvalMeta(f, inst->operand(i)));
-  }
-  f.pending_call = inst;
-  PushFrame(callee, args, metas, /*no_continuation=*/false);
+  CPI_CHECK(inst->operands().size() - first_arg_index == callee->args().size());
+  f.call_pending = true;
+  f.call_dest = inst->type()->IsVoid() ? ir::kInvalidValueId : inst->value_id();
+  PushFrame(callee, /*no_continuation=*/false, [&](size_t i, uint64_t* value, RegMeta* meta) {
+    *value = Eval(f, inst->operand(first_arg_index + i));
+    *meta = EvalMeta(f, inst->operand(first_arg_index + i));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1687,7 +1790,12 @@ void Machine::DoSpawn(Frame& f, const Function* callee, std::vector<uint64_t> ar
   // first runs when the scheduler rotates to it.
   ThreadContext* spawner = cur_;
   cur_ = t;
-  const bool ok = PushFrame(callee, args, metas, /*no_continuation=*/false);
+  CPI_CHECK(args.size() == callee->args().size());
+  const bool ok = PushFrame(callee, /*no_continuation=*/false,
+                            [&](size_t i, uint64_t* value, RegMeta* meta) {
+                              *value = args[i];
+                              *meta = metas[i];
+                            });
   cur_ = spawner;
   if (!ok) {
     return;
@@ -1835,11 +1943,10 @@ void Machine::DoRet(Frame& f, bool has_value, const Ops& ops) {
     ++result_.counters.hijack_transfers;
     PopFrame();
     if (!cur_->frames.empty()) {
-      cur_->frames.back().pending_call = nullptr;
+      cur_->frames.back().call_pending = false;
     }
-    std::vector<uint64_t> args(target->args().size(), 0);
-    std::vector<RegMeta> metas(target->args().size(), RegMeta::None());
-    PushFrame(target, args, metas, /*no_continuation=*/true);
+    // The hijacked function starts with zeroed arguments.
+    PushFrame(target, /*no_continuation=*/true, NoArgs);
     return;
   }
   Crash("return to a non-code address");
@@ -2514,17 +2621,14 @@ void Machine::OpSelect(Machine& m, Frame& f, const DecodedOp& op) {
 }
 
 void Machine::DoCallSlots(Frame& f, const DecodedOp& op, const Function* callee) {
-  std::vector<uint64_t> args(op.arg_count);
-  std::vector<RegMeta> metas(op.arg_count);
+  CPI_CHECK(op.arg_count == callee->args().size());
   const OperandSlot* slots = f.dfunc->args.data() + op.arg_begin;
-  for (uint32_t i = 0; i < op.arg_count; ++i) {
-    args[i] = SlotVal(f, slots[i]);
-    metas[i] = SlotMeta(f, slots[i]);
-  }
-  // The call instruction's identity lives in the cold side table, parallel
-  // to the op array (return-value plumbing needs the ir::Instruction).
-  f.pending_call = f.dfunc->insts[&op - f.dfunc->ops.data()];
-  PushFrame(callee, args, metas, /*no_continuation=*/false);
+  f.call_pending = true;
+  f.call_dest = op.dest;  // kInvalidValueId for a void call (decode.cc)
+  PushFrame(callee, /*no_continuation=*/false, [&](size_t i, uint64_t* value, RegMeta* meta) {
+    *value = SlotVal(f, slots[i]);
+    *meta = SlotMeta(f, slots[i]);
+  });
 }
 
 void Machine::OpCall(Machine& m, Frame& f, const DecodedOp& op) {
@@ -2717,22 +2821,18 @@ const Machine::Handler Machine::kDispatch[kNumOpcodes] = {
 // handlers charge their tails through FusedStep.
 void Machine::RunDecodedLoop() {
   while (!done_) {
-    if (result_.counters.instructions >= options_.max_steps) {
-      Trap(RunStatus::kOutOfFuel, Violation::kNone, "step budget exhausted");
+    if (result_.counters.instructions >= stop_at_ && !ReachStop()) {
       break;
-    }
-    if (result_.counters.instructions >= fault_at_) {
-      ApplyPendingFaults();
     }
     Frame& f = cur_->frames.back();
     // Same malformed-IR guard as the reference Step(): a block missing its
     // terminator must abort loudly, not fall through into the next block's
     // flattened ops.
-    CPI_CHECK(f.ip < f.dfunc->ops.size());
-    const DecodedOp& op = f.dfunc->ops[f.ip];
+    const DecodedOp* op = f.dfunc->ops.data() + f.ip;
+    CPI_CHECK(op < f.dfunc->ops.data() + f.dfunc->ops.size());
     ++result_.counters.instructions;
     Cycles(kBaseCycles);
-    kDispatch[static_cast<size_t>(op.op)](*this, f, op);
+    kDispatch[static_cast<size_t>(op->op)](*this, f, *op);
     if ((resched_ || --quantum_left_ == 0) && !done_) {
       Reschedule();
     }

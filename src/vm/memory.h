@@ -61,7 +61,7 @@ class ByteMemory {
       if (page->bytes == nullptr) {
         std::memset(out, 0, size);
       } else {
-        std::memcpy(out, page->bytes.get() + (addr & (kPageBytes - 1)), size);
+        CopyScalar(out, page->bytes.get() + (addr & (kPageBytes - 1)), size);
       }
       return MemFault::kNone;
     }
@@ -76,7 +76,7 @@ class ByteMemory {
       if (!page->writable) {
         return MemFault::kReadOnly;
       }
-      std::memcpy(PageBytes(*page) + (addr & (kPageBytes - 1)), data, size);
+      CopyScalar(PageBytes(*page) + (addr & (kPageBytes - 1)), data, size);
       return MemFault::kNone;
     }
     return WriteSlow(addr, data, size);
@@ -102,6 +102,18 @@ class ByteMemory {
   void ArmAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
 
  private:
+  // memcpy for the 1-8 byte scalars the VM moves: a fixed-size copy per
+  // width compiles to one move, where a variable-size memcpy is a libc call.
+  static void CopyScalar(void* dst, const void* src, uint64_t size) {
+    switch (size) {
+      case 8: std::memcpy(dst, src, 8); return;
+      case 4: std::memcpy(dst, src, 4); return;
+      case 1: std::memcpy(dst, src, 1); return;
+      case 2: std::memcpy(dst, src, 2); return;
+      default: std::memcpy(dst, src, size); return;
+    }
+  }
+
   struct Page {
     std::unique_ptr<uint8_t[]> bytes;  // null until first written: reads as zeros
     bool writable = false;

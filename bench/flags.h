@@ -1,7 +1,6 @@
 // CLI parsing for bench/suite (bench/fuzz reuses the number parsers).
 //
 //   --json       one machine-readable JSON report
-//   --time       print the wall-clock split (build / cells / attacks)
 //   --scale N    workload size multiplier >= 1 (also accepts "small" == 1)
 //   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
 //                concurrency, 1 = strictly serial (bit-identical tables
@@ -31,7 +30,6 @@ namespace cpi::bench {
 
 struct Flags {
   bool json = false;
-  bool timing = false;
   int scale = 1;
   int jobs = 0;  // resolved to ThreadPool::DefaultJobs() by Parse
   int opt = 0;   // core::Config::opt_level for the measured cells
@@ -40,7 +38,7 @@ struct Flags {
 
 inline void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json] [--time] [--scale N|small] [--jobs N] [--opt N] "
+               "usage: %s [--json] [--scale N|small] [--jobs N] [--opt N] "
                "[--engine fused|decoded|reference]\n",
                argv0);
 }
@@ -84,8 +82,6 @@ inline Flags Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       flags.json = true;
-    } else if (std::strcmp(argv[i], "--time") == 0) {
-      flags.timing = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
       ++i;
       flags.scale = std::strcmp(argv[i], "small") == 0

@@ -25,7 +25,7 @@
 //   --no-hazards     generate only hazard-free programs
 //   --no-threads     generate only single-threaded programs
 //   --no-self-test   skip the end-of-campaign injected-divergence self-test
-//   --json           machine-readable summary on stdout
+//   --json           the summary as JSON (bench/report.h) instead of text
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/flags.h"
+#include "bench/report.h"
 #include "src/core/scheme.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/differential.h"
@@ -244,49 +245,40 @@ int Main(int argc, char** argv) {
   const bool self_test_ok =
       !flags.self_test || (self_test.detected && self_test.minimized && self_test.reproduced);
 
-  if (flags.json) {
-    std::printf("{\n");
-    std::printf("  \"cases\": %d,\n", flags.cases);
-    std::printf("  \"cells\": %ld,\n", cells);
-    std::printf("  \"divergences\": %d,\n", divergences);
-    std::printf("  \"host_errors\": %d,\n", host_errors);
-    std::printf("  \"fuel_skips\": %d,\n", fuel_skips);
-    std::printf("  \"fault_coverage_schemes\": %zu,\n", schemes_covered);
-    std::printf("  \"fault_coverage\": {\n");
-    size_t si = 0;
-    for (const auto& [scheme, kinds] : coverage) {
-      std::printf("    \"%s\": [", scheme.c_str());
-      size_t ki = 0;
-      for (const std::string& kind : kinds) {
-        std::printf("%s\"%s\"", ki++ == 0 ? "" : ", ", kind.c_str());
-      }
-      std::printf("]%s\n", ++si == coverage.size() ? "" : ",");
+  const bool ok = divergences == 0 && host_errors == 0 && coverage_ok && self_test_ok;
+  bench::Node coverage_node = bench::Node::Object();
+  for (const auto& [scheme, kinds] : coverage) {
+    bench::Node list = bench::Node::Array();
+    for (const std::string& kind : kinds) {
+      list.Push(kind);
     }
-    std::printf("  },\n");
-    if (flags.self_test) {
-      std::printf("  \"self_test\": {\"detected\": %s, \"minimized\": %s, \"reproduced\": %s, "
-                  "\"ops_before\": %zu, \"ops_after\": %zu},\n",
-                  self_test.detected ? "true" : "false", self_test.minimized ? "true" : "false",
-                  self_test.reproduced ? "true" : "false", self_test.ops_before,
-                  self_test.ops_after);
-    }
-    std::printf("  \"ok\": %s\n", divergences == 0 && host_errors == 0 && coverage_ok && self_test_ok
-                                      ? "true"
-                                      : "false");
-    std::printf("}\n");
-  } else {
-    std::printf("fuzz: %d cases, %ld cells — %d divergences, %d host errors, %d fuel-skips\n",
-                flags.cases, cells, divergences, host_errors, fuel_skips);
-    std::printf("fault coverage: %zu/%zu schemes with >=1 contained category\n",
-                schemes_covered, schemes_total);
-    if (flags.self_test) {
-      std::printf("self-test: detected=%s minimized(%zu->%zu) reproduced=%s (%s)\n",
-                  self_test.detected ? "yes" : "NO", self_test.ops_before, self_test.ops_after,
-                  self_test.reproduced ? "yes" : "NO", self_test.entry.c_str());
-    }
+    coverage_node.Add(scheme, std::move(list));
   }
-
-  return divergences == 0 && host_errors == 0 && coverage_ok && self_test_ok ? 0 : 1;
+  bench::Node report = bench::Node::Object()
+                           .Add("cases", flags.cases)
+                           .Add("cells", cells)
+                           .Add("divergences", divergences)
+                           .Add("host_errors", host_errors)
+                           .Add("fuel_skips", fuel_skips)
+                           .Add("fault_coverage_schemes", schemes_covered)
+                           .Add("schemes", schemes_total)
+                           .Add("fault_coverage", std::move(coverage_node));
+  if (flags.self_test) {
+    report.Add("self_test", bench::Node::Object()
+                                .Add("detected", self_test.detected)
+                                .Add("minimized", self_test.minimized)
+                                .Add("reproduced", self_test.reproduced)
+                                .Add("ops_before", self_test.ops_before)
+                                .Add("ops_after", self_test.ops_after)
+                                .Add("entry", self_test.entry));
+  }
+  report.Add("ok", ok);
+  if (flags.json) {
+    bench::WriteJson(report);
+  } else {
+    bench::WriteText(report);
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 //   suite --json          one consolidated machine-readable report
 //   suite --scale N       workload size multiplier ("small" == 1)
 //   suite --jobs N        cell parallelism (default: hardware concurrency)
-//   suite --time          append the wall-clock split to the human report
 //   suite --opt N         additionally emit the ablation_opt table (per-
 //                         scheme overhead with the post-instrumentation
 //                         optimizer off/on) and the optimizer's CPI
@@ -22,9 +21,13 @@
 // ablation's "segment" column, the §5.2 kArray row) is requested by each
 // and run once. The RIPE attack matrices run after the cells.
 //
+// Every table is reduced once, into one report document (bench/report.h);
+// --json prints that document as JSON, and the human report prints the same
+// document as text tables, ending with the wall-clock split.
+//
 // Table values are bit-identical at any --jobs value and under any engine
 // (the cost model is simulated; the pool and the tier only change
-// wall-clock). The JSON layout keeps everything that varies between runs
+// wall-clock). The document keeps everything that varies between runs
 // (wall_ms, the build_ms / cells_ms / attacks_ms split, the cells /
 // unique_cells counts, jobs, host concurrency, fusion stats) and the
 // diagnostic listings (cfi_hijacks, opt_instrumentation) outside "tables",
@@ -40,27 +43,26 @@
 #include <vector>
 
 #include "bench/flags.h"
+#include "bench/report.h"
 #include "src/attacks/ripe.h"
 #include "src/core/levee.h"
 #include "src/core/scheme.h"
 #include "src/ir/clone.h"
 #include "src/support/stats.h"
-#include "src/support/table.h"
 #include "src/vm/decode.h"
 #include "src/workloads/measure.h"
 
 namespace {
 
-using cpi::Table;
+using cpi::bench::Node;
 using cpi::core::Config;
 using cpi::core::Protection;
 using cpi::core::ProtectionScheme;
 using cpi::runtime::StoreKind;
 using cpi::workloads::CellResult;
 using cpi::workloads::MeasureCell;
-using cpi::workloads::Measurement;
-using cpi::workloads::MeasurementCells;
 using cpi::workloads::Workload;
+using AttackResults = std::vector<cpi::attacks::AttackResult>;
 
 class Stopwatch {
  public:
@@ -75,86 +77,50 @@ class Stopwatch {
 
 const char* SchemeName(Protection p) { return cpi::core::SchemeRegistry::Get(p).name(); }
 
-// ---------------------------------------------------------------------------
-// Per-table data, reduced once and rendered twice (human table / JSON).
+// A percent as every table prints it.
+Node Pct(double v) { return Node::Number(v); }
 
-struct OverheadTable {  // table1 / table3 / table4 / fig4 shape
-  std::vector<const Measurement*> rows;
-  std::vector<Protection> columns;
-};
+// {keys[i]: Pct(values[i])}.
+Node PctMap(const std::vector<std::string>& keys, const std::vector<double>& values) {
+  Node map = Node::Object();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    map.Add(keys[i], Pct(values[i]));
+  }
+  return map;
+}
 
-struct Fig5Row {
-  const ProtectionScheme* scheme = nullptr;
-  int hijacked = 0;
-  int attacks = 0;
-  bool some_fail = false;
-  bool has_overhead = false;
-  double avg_overhead_pct = 0;
-};
+// The mean of each column of `grid` ([row][column]).
+std::vector<double> ColumnMeans(const std::vector<std::vector<double>>& grid) {
+  std::vector<double> means;
+  for (size_t c = 0; c < grid.front().size(); ++c) {
+    std::vector<double> column;
+    for (const std::vector<double>& row : grid) {
+      column.push_back(row[c]);
+    }
+    means.push_back(cpi::Mean(column));
+  }
+  return means;
+}
 
-struct AblationIsolation {
-  std::vector<std::string> workloads;
-  // column name -> per-workload overheads (column order fixed below)
-  std::vector<std::pair<std::string, std::vector<double>>> columns;
-};
-
-struct AblationMpx {
-  std::vector<std::string> workloads;
-  std::vector<double> software_pct;
-  std::vector<double> mpx_pct;
-};
-
-struct RipeRow {
-  const ProtectionScheme* scheme = nullptr;
-  int counts[4] = {0, 0, 0, 0};  // AttackOutcome order
-};
-
-// One composite-table row (SchemeRegistry::CompositeTableRows): SPEC
-// overhead column plus both attack matrices, with the auth-abort count
-// (kPointerAuthFailure verdicts) broken out — the ret-chain schemes turn
-// ret-hijacks into exactly these.
-struct CompositeRow {
-  const ProtectionScheme* scheme = nullptr;
-  std::vector<double> overhead_pct;  // per SPEC workload
-  double avg_overhead_pct = 0;
-  RipeRow ripe;
-  RipeRow ripe_concurrent;
-  int ripe_auth_aborts = 0;
-  int ripec_auth_aborts = 0;
-};
-
-struct MemStoreRow {
-  StoreKind store;
-  std::map<Protection, double> median_overhead_pct;
-  std::map<Protection, double> median_safe_store_bytes;
-};
-
-struct AblationOpt {
-  std::vector<std::string> workloads;
-  // scheme -> per-workload {O0, O1} overhead percents
-  std::map<Protection, std::vector<std::pair<double, double>>> overhead_pct;
-};
-
-struct AblationShards {
-  std::vector<uint32_t> shard_counts;
-  std::vector<std::string> workloads;
-  // [workload][shard-count] CPI overhead vs vanilla / contended-op share.
-  std::vector<std::vector<double>> overhead_pct;
-  std::vector<std::vector<double>> contended_pct;
-};
-
-struct AblationChurn {
-  std::vector<uint32_t> shard_counts;
-  std::vector<std::string> workloads;
-  // [workload][shard-count], static ownership vs epoch migration
-  // (Config::migrate). The epoch column's one-time publish charges are
-  // counted in `migrations` (owner changes across the whole run).
-  std::vector<std::vector<double>> static_overhead_pct;
-  std::vector<std::vector<double>> epoch_overhead_pct;
-  std::vector<std::vector<double>> static_contended_pct;
-  std::vector<std::vector<double>> epoch_contended_pct;
-  std::vector<std::vector<uint64_t>> migrations;
-};
+// One attack matrix's outcome counts, in AttackOutcome order; with
+// `auth_aborts`, also its kPointerAuthFailure verdicts (the aborts the
+// ret-chain schemes turn ret-hijacks into).
+Node Tally(const AttackResults& results, Node row, bool auth_aborts) {
+  int counts[4] = {0, 0, 0, 0};
+  int aborts = 0;
+  for (const cpi::attacks::AttackResult& r : results) {
+    ++counts[static_cast<int>(r.outcome)];
+    aborts += r.violation == cpi::runtime::Violation::kPointerAuthFailure;
+  }
+  row.Add("hijacked", counts[0])
+      .Add("prevented", counts[1])
+      .Add("crashed", counts[2])
+      .Add("no_effect", counts[3]);
+  if (auth_aborts) {
+    row.Add("auth_aborts", aborts);
+  }
+  return row;
+}
 
 uint64_t EliminatedSafeStoreOps(const cpi::opt::OptReport& report) {
   uint64_t n = 0;
@@ -162,83 +128,6 @@ uint64_t EliminatedSafeStoreOps(const cpi::opt::OptReport& report) {
     n += ps.eliminated_safe_store_ops;
   }
   return n;
-}
-
-// ---------------------------------------------------------------------------
-// JSON emission. Percents use %.3f throughout.
-
-void JsonOverheadMap(const Measurement& m, const std::vector<Protection>& columns) {
-  std::printf("\"overhead_pct\":{");
-  bool first = true;
-  for (Protection p : columns) {
-    if (m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk) {
-      continue;
-    }
-    std::printf("%s\"%s\":%.3f", first ? "" : ",", SchemeName(p), m.overhead_pct.at(p));
-    first = false;
-  }
-  std::printf("}");
-}
-
-void JsonFailList(const Measurement& m, const std::vector<Protection>& columns) {
-  std::printf("\"fails\":[");
-  bool first = true;
-  for (Protection p : columns) {
-    if (m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk) {
-      std::printf("%s\"%s\"", first ? "" : ",", SchemeName(p));
-      first = false;
-    }
-  }
-  std::printf("]");
-}
-
-void JsonOverheadTable(const OverheadTable& t, bool lang, bool fails) {
-  std::printf("{\"rows\":[");
-  for (size_t i = 0; i < t.rows.size(); ++i) {
-    const Measurement& m = *t.rows[i];
-    std::printf("%s{\"workload\":\"%s\",", i == 0 ? "" : ",", m.workload.c_str());
-    if (lang) {
-      std::printf("\"lang\":\"%s\",", m.language.c_str());
-    }
-    JsonOverheadMap(m, t.columns);
-    if (fails) {
-      std::printf(",");
-      JsonFailList(m, t.columns);
-    }
-    std::printf("}");
-  }
-  std::printf("]}");
-}
-
-// ---------------------------------------------------------------------------
-// Human rendering.
-
-void PrintOverheadTable(const char* title, const OverheadTable& t, bool lang) {
-  std::printf("%s\n\n", title);
-  std::vector<std::string> header = {"Benchmark"};
-  if (lang) {
-    header.push_back("Lang");
-  }
-  for (Protection p : t.columns) {
-    header.push_back(SchemeName(p));
-  }
-  Table table(header);
-  for (const Measurement* m : t.rows) {
-    std::vector<std::string> row = {m->workload};
-    if (lang) {
-      row.push_back(m->language);
-    }
-    for (Protection p : t.columns) {
-      if (m->status.count(p) != 0 && m->status.at(p) != cpi::vm::RunStatus::kOk) {
-        row.push_back("fails");
-      } else {
-        row.push_back(Table::FormatPercent(m->overhead_pct.at(p)));
-      }
-    }
-    table.AddRow(row);
-  }
-  table.Print();
-  std::printf("\n");
 }
 
 }  // namespace
@@ -282,32 +171,35 @@ int main(int argc, char** argv) {
   // so a table asks for every cell it reads — its own vanilla baselines
   // included — even where another table asks for the same one. Every cell
   // honors --engine; the standard tables stay at O0 regardless of --opt.
-  Config engine_base;
-  engine_base.engine = flags.engine;
   std::vector<MeasureCell> cells;
-  const auto cell = [&cells, &engine_base](size_t workload, Protection protection,
-                                           Config config = {}) {
+  const auto cell = [&cells, &flags](size_t workload, Protection protection,
+                                     Config config = {}) {
     config.protection = protection;
-    config.engine = engine_base.engine;
+    config.engine = flags.engine;
     cells.push_back({workload, config});
     return cells.size() - 1;
   };
-  const auto measure = [&cells, &engine_base](const std::vector<size_t>& set,
-                                              const std::vector<Protection>& protections) {
-    std::vector<MeasurementCells> at;
+  // Per workload of `set`: its vanilla cell, then one cell per protection.
+  const auto by_scheme = [&cell](const std::vector<size_t>& set,
+                                 const std::vector<Protection>& protections) {
+    std::vector<std::vector<size_t>> plan;
     for (size_t wi : set) {
-      at.push_back(cpi::workloads::AddMeasurementCells(cells, wi, protections, engine_base));
+      std::vector<size_t> row = {cell(wi, Protection::kNone)};
+      for (Protection p : protections) {
+        row.push_back(cell(wi, p));
+      }
+      plan.push_back(std::move(row));
     }
-    return at;
+    return plan;
   };
 
   // Table 1 / Table 2 / Table 3 (SPEC), Fig. 4 (Phoronix), Table 4 (web
   // server) and Table 4 "concurrent" (multi-worker servers on the VM's
-  // thread scheduler): vanilla plus one cell per column.
-  const auto spec_plan = measure(spec_at, spec_protections);
-  const auto phoronix_plan = measure(phoronix_at, overhead_protections);
-  const auto web_plan = measure(web_at, overhead_protections);
-  const auto mt_plan = measure(mt_at, overhead_protections);
+  // thread scheduler).
+  const auto spec_plan = by_scheme(spec_at, spec_protections);
+  const auto phoronix_plan = by_scheme(phoronix_at, overhead_protections);
+  const auto web_plan = by_scheme(web_at, overhead_protections);
+  const auto mt_plan = by_scheme(mt_at, overhead_protections);
 
   // Fig. 5: every defense row's average overhead on a four-workload subset.
   const std::vector<std::string> fig5_subset = {"401.bzip2", "447.dealII", "458.sjeng",
@@ -323,15 +215,15 @@ int main(int argc, char** argv) {
   for (const ProtectionScheme* s : defense_rows) {
     defense_protections.push_back(s->id());
   }
-  const auto fig5_plan = measure(fig5_at, defense_protections);
+  const auto fig5_plan = by_scheme(fig5_at, defense_protections);
 
   // §3.2.3 isolation and §4 MPX ablations under CPI, against vanilla.
   // Segment isolation is the default, so the "segment" and "software"
   // columns are Table 1's CPI cells.
-  const std::vector<std::pair<std::string, cpi::runtime::IsolationKind>> iso_kinds = {
-      {"segment", cpi::runtime::IsolationKind::kSegment},
-      {"info-hiding", cpi::runtime::IsolationKind::kInfoHiding},
-      {"sfi", cpi::runtime::IsolationKind::kSfi}};
+  const std::vector<std::string> iso_names = {"segment", "info-hiding", "sfi"};
+  const cpi::runtime::IsolationKind iso_kinds[] = {cpi::runtime::IsolationKind::kSegment,
+                                                   cpi::runtime::IsolationKind::kInfoHiding,
+                                                   cpi::runtime::IsolationKind::kSfi};
   Config mpx_config;
   mpx_config.mpx_assist = true;
   std::vector<size_t> spec_vanilla;
@@ -340,7 +232,7 @@ int main(int argc, char** argv) {
   for (size_t wi : spec_at) {
     spec_vanilla.push_back(cell(wi, Protection::kNone));
     std::vector<size_t> row;
-    for (const auto& [name, kind] : iso_kinds) {
+    for (cpi::runtime::IsolationKind kind : iso_kinds) {
       Config config;
       config.isolation = kind;
       row.push_back(cell(wi, Protection::kCpi, config));
@@ -379,6 +271,10 @@ int main(int argc, char** argv) {
   // same servers, to show migration never charges more than the static
   // table. Each plan row is {vanilla, CPI cells...}.
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8, 16, 64};
+  std::vector<std::string> shard_names;
+  for (uint32_t shards : shard_counts) {
+    shard_names.push_back(std::to_string(shards));
+  }
   std::vector<size_t> shard_set = ev_at;
   shard_set.insert(shard_set.end(), mt_at.begin(), mt_at.end());
   std::vector<size_t> churn_set = churn_only_at;
@@ -449,9 +345,76 @@ int main(int argc, char** argv) {
   const double cells_ms = cells_watch.Ms();
   const size_t unique_cells = cpi::workloads::UniqueCells(cells);
 
+  // Failure audit. The overhead tables tolerate failing cells (they drop out
+  // of "overhead_pct", and Table 3 lists them in "fails") so one bad scheme
+  // cannot abort a long sweep, but the suite as a whole must not exit 0 when
+  // a cell silently failed. SoftBound is the documented exemption: the paper
+  // reports it breaking on unsafe pointer idioms (Table 3), and the recorded
+  // baselines carry those cells as fails:["softbound"].
+  int unexpected_failures = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const Config& config = cells[i].config;
+    if (results[i].status == cpi::vm::RunStatus::kOk ||
+        (config.scheme == nullptr && config.protection == Protection::kSoftBound)) {
+      continue;
+    }
+    std::fprintf(stderr, "suite: FAILED cell %s under %s: %s\n",
+                 workloads[cells[i].workload].name.c_str(),
+                 config.scheme != nullptr ? config.scheme->name() : SchemeName(config.protection),
+                 cpi::vm::RunStatusName(results[i].status));
+    ++unexpected_failures;
+  }
+  if (unexpected_failures != 0) {
+    std::fprintf(stderr, "suite: %d unexpected cell failure(s); exiting non-zero\n",
+                 unexpected_failures);
+  }
+
+  // The optimizer's static CPI instrumentation counts (--opt >= 1), per
+  // workload and aggregated per pass over the SPEC set.
+  std::vector<cpi::core::CompileOutput> opt_counts;
+  if (flags.opt >= 1) {
+    opt_counts.resize(spec.size());
+    cpi::ThreadPool(flags.jobs).ParallelFor(spec.size(), [&](size_t k) {
+      Config config = opt_config;
+      config.protection = Protection::kCpi;
+      auto clone = cpi::ir::CloneModule(*views[spec_at[k]]);
+      opt_counts[k] = cpi::core::Compiler(config).Instrument(*clone);
+    });
+  }
+
   // -------------------------------------------------------------------------
-  // Reductions, each reading its own cells. `overhead` requires both runs
-  // to have completed.
+  // Attack matrices: §5.1 RIPE and the cross-thread matrix, one row per
+  // registry RipeRow (Fig. 5 reads its verdicts from the RIPE rows), and
+  // both matrices per composite row, which selects by Config::scheme.
+  const Stopwatch attacks_watch;
+  const auto run_matrix = [&flags](AttackResults (*run)(const Config&, int),
+                                   const ProtectionScheme* s, bool select_scheme) {
+    Config config;
+    config.protection = s->id();
+    config.scheme = select_scheme ? s : nullptr;
+    config.engine = flags.engine;
+    return run(config, flags.jobs);
+  };
+  const auto ripe_schemes = cpi::core::SchemeRegistry::RipeRows();
+  std::map<const ProtectionScheme*, AttackResults> ripe;
+  std::map<const ProtectionScheme*, AttackResults> ripe_concurrent;
+  for (const ProtectionScheme* s : ripe_schemes) {
+    ripe[s] = run_matrix(&cpi::attacks::RunAttackMatrix, s, false);
+    ripe_concurrent[s] = run_matrix(&cpi::attacks::RunCrossThreadMatrix, s, false);
+  }
+  std::vector<std::pair<AttackResults, AttackResults>> composite_attacks;
+  for (const ProtectionScheme* s : composite_schemes) {
+    composite_attacks.push_back({run_matrix(&cpi::attacks::RunAttackMatrix, s, true),
+                                 run_matrix(&cpi::attacks::RunCrossThreadMatrix, s, true)});
+  }
+  // Every scheme runs the same spec list, so any row gives the matrix size.
+  const size_t ripe_attacks = ripe.begin()->second.size();
+  const size_t ripe_concurrent_attacks = ripe_concurrent.begin()->second.size();
+  const double attacks_ms = attacks_watch.Ms();
+
+  // -------------------------------------------------------------------------
+  // Reductions, each reading its own cells, into the report's tables.
+  // `overhead` requires both runs to have completed.
   const auto overhead = [&results](size_t at, size_t vanilla_at) {
     const CellResult& r = results[at];
     const CellResult& vanilla = results[vanilla_at];
@@ -460,82 +423,198 @@ int main(int argc, char** argv) {
     return cpi::OverheadPercent(static_cast<double>(r.cycles),
                                 static_cast<double>(vanilla.cycles));
   };
-  const auto reduce = [&workloads, &results](const std::vector<MeasurementCells>& plan) {
-    std::vector<Measurement> ms;
-    for (const MeasurementCells& at : plan) {
-      ms.push_back(cpi::workloads::ReduceMeasurement(workloads[at.workload], at, results));
-    }
-    return ms;
+  const auto ok = [&results](size_t at) {
+    return results[at].status == cpi::vm::RunStatus::kOk;
   };
-  const std::vector<Measurement> spec_ms = reduce(spec_plan);
-  const std::vector<Measurement> phoronix_ms = reduce(phoronix_plan);
-  const std::vector<Measurement> web_ms = reduce(web_plan);
-  const std::vector<Measurement> mt_ms = reduce(mt_plan);
-  const std::vector<Measurement> fig5_ms = reduce(fig5_plan);
-  const auto overhead_table = [](const std::vector<Measurement>& ms,
-                                 const std::vector<Protection>& columns) {
-    OverheadTable t;
-    t.columns = columns;
-    for (const Measurement& m : ms) {
-      t.rows.push_back(&m);
-    }
-    return t;
+  const auto workload_of = [&](size_t at) -> const Workload& {
+    return workloads[cells[at].workload];
   };
-  const OverheadTable table1 = overhead_table(spec_ms, overhead_protections);
-  const OverheadTable table3 = overhead_table(spec_ms, spec_protections);
-  const OverheadTable fig4 = overhead_table(phoronix_ms, overhead_protections);
-  const OverheadTable table4 = overhead_table(web_ms, overhead_protections);
-  const OverheadTable table4_concurrent = overhead_table(mt_ms, overhead_protections);
+  Node tables = Node::Object();
 
-  AblationIsolation iso;
-  for (const auto& [name, kind] : iso_kinds) {
-    iso.columns.push_back({name, {}});
+  // Table 1 / 3 / 4 / Fig. 4 shape: per workload, the overhead of every
+  // protection column whose run completed; with `fails`, the ones that did
+  // not. A plan row may hold more columns than the table reads.
+  const auto overhead_table = [&](const std::vector<std::vector<size_t>>& plan,
+                                  const std::vector<Protection>& columns, bool lang,
+                                  bool fails) {
+    Node rows = Node::Array();
+    for (const std::vector<size_t>& at : plan) {
+      CPI_CHECK(ok(at[0]));
+      Node row = Node::Object().Add("workload", workload_of(at[0]).name);
+      if (lang) {
+        row.Add("lang", workload_of(at[0]).language);
+      }
+      Node overheads = Node::Object();
+      Node failed = Node::Array();
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (ok(at[1 + c])) {
+          overheads.Add(SchemeName(columns[c]), Pct(overhead(at[1 + c], at[0])));
+        } else {
+          failed.Push(SchemeName(columns[c]));
+        }
+      }
+      row.Add("overhead_pct", std::move(overheads));
+      if (fails) {
+        row.Add("fails", std::move(failed));
+      }
+      rows.Push(std::move(row));
+    }
+    return Node::Object().Add("rows", std::move(rows));
+  };
+  tables.Add("table1_spec_overhead", overhead_table(spec_plan, overhead_protections,
+                                                    /*lang=*/true, /*fails=*/false));
+
+  Node table2 = Node::Array();
+  for (const std::vector<size_t>& at : spec_plan) {
+    const cpi::analysis::ModuleStats& stats = results[at[0]].stats;
+    table2.Push(Node::Object()
+                    .Add("workload", workload_of(at[0]).name)
+                    .Add("lang", workload_of(at[0]).language)
+                    .Add("fnustack_pct", Pct(stats.FnuStackPercent()))
+                    .Add("mocps_pct", Pct(stats.MoCpsPercent()))
+                    .Add("mocpi_pct", Pct(stats.MoCpiPercent())));
   }
-  AblationMpx mpx;
+  tables.Add("table2_compile_stats", Node::Object().Add("rows", std::move(table2)));
+  tables.Add("table3_softbound", overhead_table(spec_plan, spec_protections, false, true));
+  tables.Add("table4_webserver", overhead_table(web_plan, overhead_protections, false, false));
+  tables.Add("table4_concurrent", overhead_table(mt_plan, overhead_protections, false, false));
+  tables.Add("fig4_phoronix", overhead_table(phoronix_plan, overhead_protections, false, false));
+
+  Node fig5 = Node::Array();
+  for (size_t di = 0; di < defense_rows.size(); ++di) {
+    const ProtectionScheme* s = defense_rows[di];
+    // Every defense row is also a RIPE row, so the matrix runs once per
+    // scheme in the whole suite.
+    const auto matrix = ripe.find(s);
+    CPI_CHECK(matrix != ripe.end());
+    const auto hijacked = std::count_if(matrix->second.begin(), matrix->second.end(),
+                                        [](const auto& r) { return r.Hijacked(); });
+    bool some_fail = false;
+    std::vector<double> overheads;
+    for (const std::vector<size_t>& at : fig5_plan) {
+      if (!ok(at[1 + di])) {
+        some_fail = true;
+        continue;
+      }
+      overheads.push_back(overhead(at[1 + di], at[0]));
+    }
+    fig5.Push(Node::Object()
+                  .Add("name", s->name())
+                  .Add("mechanism", s->description())
+                  .Add("hijacked", hijacked)
+                  .Add("attacks", matrix->second.size())
+                  .Add("stops_all", hijacked == 0)
+                  .Add("some_fail", some_fail)
+                  .Add("avg_overhead_pct", overheads.empty() ? Node() : Pct(cpi::Mean(overheads))));
+  }
+  tables.Add("fig5_defense_matrix", Node::Object().Add("rows", std::move(fig5)));
+
+  Node iso_rows = Node::Array();
+  Node mpx_rows = Node::Array();
+  std::vector<std::vector<double>> iso_grid;  // [workload][isolation kind]
+  std::vector<std::vector<double>> mpx_grid;  // [workload] {software, mpx}
   for (size_t k = 0; k < spec.size(); ++k) {
-    iso.workloads.push_back(spec[k].name);
-    for (size_t c = 0; c < iso_kinds.size(); ++c) {
-      iso.columns[c].second.push_back(overhead(iso_plan[k][c], spec_vanilla[k]));
+    std::vector<double> iso;
+    for (size_t at : iso_plan[k]) {
+      iso.push_back(overhead(at, spec_vanilla[k]));
     }
-    mpx.workloads.push_back(spec[k].name);
-    mpx.software_pct.push_back(overhead(mpx_plan[k].first, spec_vanilla[k]));
-    mpx.mpx_pct.push_back(overhead(mpx_plan[k].second, spec_vanilla[k]));
+    iso_rows.Push(
+        Node::Object().Add("workload", spec[k].name).Add("overhead_pct", PctMap(iso_names, iso)));
+    iso_grid.push_back(std::move(iso));
+    mpx_grid.push_back({overhead(mpx_plan[k].first, spec_vanilla[k]),
+                        overhead(mpx_plan[k].second, spec_vanilla[k])});
+    mpx_rows.Push(Node::Object()
+                      .Add("workload", spec[k].name)
+                      .Add("software_pct", Pct(mpx_grid.back()[0]))
+                      .Add("mpx_pct", Pct(mpx_grid.back()[1])));
+  }
+  tables.Add("ablation_isolation",
+             Node::Object()
+                 .Add("rows", std::move(iso_rows))
+                 .Add("average", PctMap(iso_names, ColumnMeans(iso_grid))));
+  tables.Add("ablation_mpx", Node::Object()
+                                 .Add("rows", std::move(mpx_rows))
+                                 .Add("average", PctMap({"software_pct", "mpx_pct"},
+                                                        ColumnMeans(mpx_grid))));
+
+  const auto ripe_table = [&ripe_schemes](const std::map<const ProtectionScheme*,
+                                                         AttackResults>& matrices,
+                                          size_t attacks) {
+    Node rows = Node::Array();
+    for (const ProtectionScheme* s : ripe_schemes) {
+      rows.Push(Tally(matrices.at(s), Node::Object().Add("name", s->name()), false));
+    }
+    return Node::Object().Add("attacks", attacks).Add("rows", std::move(rows));
+  };
+  tables.Add("ripe_effectiveness", ripe_table(ripe, ripe_attacks));
+  tables.Add("ripe_concurrent", ripe_table(ripe_concurrent, ripe_concurrent_attacks));
+
+  std::vector<std::string> overhead_names;
+  for (Protection p : overhead_protections) {
+    overhead_names.push_back(SchemeName(p));
+  }
+  if (flags.opt >= 1) {
+    // [scheme] per-workload {O0, O<opt>} overheads.
+    std::vector<std::vector<std::vector<double>>> grids(overhead_protections.size());
+    Node rows = Node::Array();
+    for (size_t k = 0; k < opt_plan.size(); ++k) {
+      Node per_scheme = Node::Object();
+      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+        const auto& [o0, on] = opt_plan[k][pi];
+        grids[pi].push_back({overhead(o0, spec_vanilla[k]), overhead(on, opt_vanilla[k])});
+        per_scheme.Add(overhead_names[pi], PctMap({"o0", "o1"}, grids[pi].back()));
+      }
+      rows.Push(
+          Node::Object().Add("workload", spec[k].name).Add("overhead_pct", std::move(per_scheme)));
+    }
+    Node average = Node::Object();
+    for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+      average.Add(overhead_names[pi], PctMap({"o0", "o1"}, ColumnMeans(grids[pi])));
+    }
+    tables.Add("ablation_opt", Node::Object()
+                                   .Add("opt_level", flags.opt)
+                                   .Add("rows", std::move(rows))
+                                   .Add("average", std::move(average)));
   }
 
-  std::vector<MemStoreRow> mem_rows;
+  Node mem_rows = Node::Array();
   for (size_t si = 0; si < stores.size(); ++si) {
-    std::map<Protection, std::vector<double>> overheads;
-    std::map<Protection, std::vector<double>> store_bytes;
-    for (size_t k = 0; k < spec.size(); ++k) {
-      const double base_mem = static_cast<double>(results[spec_vanilla[k]].memory_bytes);
-      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+    Node overheads = Node::Object();
+    Node store_bytes = Node::Object();
+    for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
+      std::vector<double> overhead_col;
+      std::vector<double> bytes_col;
+      for (size_t k = 0; k < spec.size(); ++k) {
         const CellResult& r = results[mem_plan[si][k][pi]];
         CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-        overheads[overhead_protections[pi]].push_back(
-            cpi::OverheadPercent(static_cast<double>(r.memory_bytes), base_mem));
-        store_bytes[overhead_protections[pi]].push_back(
-            static_cast<double>(r.safe_store_bytes));
+        overhead_col.push_back(
+            cpi::OverheadPercent(static_cast<double>(r.memory_bytes),
+                                 static_cast<double>(results[spec_vanilla[k]].memory_bytes)));
+        bytes_col.push_back(static_cast<double>(r.safe_store_bytes));
       }
+      overheads.Add(overhead_names[pi], Pct(cpi::Median(overhead_col)));
+      store_bytes.Add(overhead_names[pi], Node::Number(cpi::Median(bytes_col), 0));
     }
-    MemStoreRow row;
-    row.store = stores[si];
-    for (Protection p : overhead_protections) {
-      row.median_overhead_pct[p] = cpi::Median(overheads[p]);
-      row.median_safe_store_bytes[p] = cpi::Median(store_bytes[p]);
-    }
-    mem_rows.push_back(row);
+    mem_rows.Push(Node::Object()
+                      .Add("store", cpi::runtime::StoreKindName(stores[si]))
+                      .Add("median_overhead_pct", std::move(overheads))
+                      .Add("median_safe_store_bytes", std::move(store_bytes)));
   }
+  tables.Add("mem_overhead", Node::Object().Add("stores", std::move(mem_rows)));
 
   const auto contended_share = [](const CellResult& r) {
     return r.safe_store_ops == 0 ? 0.0
                                  : 100.0 * static_cast<double>(r.store_contended_ops) /
                                        static_cast<double>(r.safe_store_ops);
   };
-  AblationShards shard_ablation;
-  shard_ablation.shard_counts = shard_counts;
-  for (size_t k = 0; k < shard_set.size(); ++k) {
-    const std::vector<size_t>& row = shard_plan[k];
-    shard_ablation.workloads.push_back(workloads[shard_set[k]].name);
+  Node shard_counts_node = Node::Array();
+  for (uint32_t shards : shard_counts) {
+    shard_counts_node.Push(shards);
+  }
+  Node shard_rows = Node::Array();
+  std::vector<std::vector<double>> shard_overhead;   // [workload][shard count]
+  std::vector<std::vector<double>> shard_contended;  // [workload][shard count]
+  for (const std::vector<size_t>& row : shard_plan) {
     std::vector<double> overheads;
     std::vector<double> contended;
     for (size_t si = 0; si < shard_counts.size(); ++si) {
@@ -544,20 +623,33 @@ int main(int argc, char** argv) {
       overheads.push_back(overhead(row[1 + si], row[0]));
       contended.push_back(contended_share(r));
     }
-    shard_ablation.overhead_pct.push_back(std::move(overheads));
-    shard_ablation.contended_pct.push_back(std::move(contended));
+    shard_rows.Push(Node::Object()
+                        .Add("workload", workload_of(row[0]).name)
+                        .Add("overhead_pct", PctMap(shard_names, overheads))
+                        .Add("contended_pct", PctMap(shard_names, contended)));
+    shard_overhead.push_back(std::move(overheads));
+    shard_contended.push_back(std::move(contended));
   }
+  tables.Add("ablation_shards",
+             Node::Object()
+                 .Add("shard_counts", shard_counts_node)
+                 .Add("rows", std::move(shard_rows))
+                 .Add("average",
+                      Node::Object()
+                          .Add("overhead_pct", PctMap(shard_names, ColumnMeans(shard_overhead)))
+                          .Add("contended_pct",
+                               PctMap(shard_names, ColumnMeans(shard_contended)))));
 
   // Per shard count the churn reduction cross-checks: identical safe-store
   // op counts, epoch contended ops <= static, and zero migrations with the
-  // flag off.
-  AblationChurn churn_ablation;
-  churn_ablation.shard_counts = shard_counts;
-  for (size_t k = 0; k < churn_set.size(); ++k) {
-    const std::vector<size_t>& row = churn_plan[k];
-    churn_ablation.workloads.push_back(workloads[churn_set[k]].name);
+  // flag off. The epoch column's one-time publish charges are counted in
+  // `migrations` (owner changes across the whole run).
+  Node churn_rows = Node::Array();
+  std::vector<std::vector<double>> static_contended;  // [workload][shard count]
+  std::vector<std::vector<double>> epoch_contended;   // [workload][shard count]
+  for (const std::vector<size_t>& row : churn_plan) {
     std::vector<double> st_over, ep_over, st_cont, ep_cont;
-    std::vector<uint64_t> migrations;
+    Node migrations = Node::Object();
     for (size_t si = 0; si < shard_counts.size(); ++si) {
       const CellResult& st = results[row[1 + 2 * si]];
       const CellResult& ep = results[row[2 + 2 * si]];
@@ -569,883 +661,143 @@ int main(int argc, char** argv) {
       ep_over.push_back(overhead(row[2 + 2 * si], row[0]));
       st_cont.push_back(contended_share(st));
       ep_cont.push_back(contended_share(ep));
-      migrations.push_back(ep.shard_migrations);
+      migrations.Add(shard_names[si], ep.shard_migrations);
     }
-    churn_ablation.static_overhead_pct.push_back(std::move(st_over));
-    churn_ablation.epoch_overhead_pct.push_back(std::move(ep_over));
-    churn_ablation.static_contended_pct.push_back(std::move(st_cont));
-    churn_ablation.epoch_contended_pct.push_back(std::move(ep_cont));
-    churn_ablation.migrations.push_back(std::move(migrations));
+    churn_rows.Push(Node::Object()
+                        .Add("workload", workload_of(row[0]).name)
+                        .Add("static_overhead_pct", PctMap(shard_names, st_over))
+                        .Add("epoch_overhead_pct", PctMap(shard_names, ep_over))
+                        .Add("static_contended_pct", PctMap(shard_names, st_cont))
+                        .Add("epoch_contended_pct", PctMap(shard_names, ep_cont))
+                        .Add("migrations", std::move(migrations)));
+    static_contended.push_back(std::move(st_cont));
+    epoch_contended.push_back(std::move(ep_cont));
   }
+  tables.Add("ablation_churn",
+             Node::Object()
+                 .Add("shard_counts", std::move(shard_counts_node))
+                 .Add("rows", std::move(churn_rows))
+                 .Add("average",
+                      Node::Object()
+                          .Add("static_contended_pct",
+                               PctMap(shard_names, ColumnMeans(static_contended)))
+                          .Add("epoch_contended_pct",
+                               PctMap(shard_names, ColumnMeans(epoch_contended)))));
 
-  std::vector<CompositeRow> composite_rows;
+  std::vector<std::string> spec_names;
+  for (const Workload& w : spec) {
+    spec_names.push_back(w.name);
+  }
+  Node composite_rows = Node::Array();
   for (size_t ci = 0; ci < composite_schemes.size(); ++ci) {
-    CompositeRow row;
-    row.scheme = composite_schemes[ci];
-    for (size_t k = 0; k < spec.size(); ++k) {
-      row.overhead_pct.push_back(overhead(comp_plan[ci][k], spec_vanilla[k]));
-    }
-    row.avg_overhead_pct = cpi::Mean(row.overhead_pct);
-    composite_rows.push_back(std::move(row));
-  }
-
-  AblationOpt opt_ablation;
-  for (size_t k = 0; k < opt_plan.size(); ++k) {
-    opt_ablation.workloads.push_back(spec[k].name);
-    for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-      const auto& [o0, on] = opt_plan[k][pi];
-      opt_ablation.overhead_pct[overhead_protections[pi]].push_back(
-          {overhead(o0, spec_vanilla[k]), overhead(on, opt_vanilla[k])});
-    }
-  }
-
-  // The optimizer's static CPI instrumentation counts (--opt >= 1), per
-  // workload and aggregated per pass over the SPEC set.
-  std::vector<cpi::core::CompileOutput> opt_counts;
-  std::map<std::string, cpi::opt::PassStats> opt_per_pass;
-  if (flags.opt >= 1) {
-    opt_counts.resize(spec.size());
-    cpi::ThreadPool(flags.jobs).ParallelFor(spec.size(), [&](size_t k) {
-      Config config = opt_config;
-      config.protection = Protection::kCpi;
-      auto clone = cpi::ir::CloneModule(*views[spec_at[k]]);
-      opt_counts[k] = cpi::core::Compiler(config).Instrument(*clone);
-    });
-  }
-  for (const cpi::core::CompileOutput& co : opt_counts) {
-    for (const cpi::opt::PassStats& ps : co.opt.passes) {
-      cpi::opt::PassStats& agg = opt_per_pass[ps.pass];
-      agg.pass = ps.pass;
-      agg.removed_instructions += ps.removed_instructions;
-      agg.eliminated_checks += ps.eliminated_checks;
-      agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
-      agg.eliminated_seal_ops += ps.eliminated_seal_ops;
-      agg.forwarded_loads += ps.forwarded_loads;
-      agg.leaf_ret_elisions += ps.leaf_ret_elisions;
-    }
-  }
-
-  // -------------------------------------------------------------------------
-  // Attack matrices: §5.1 RIPE (one row per registry RipeRow), the
-  // cross-thread matrix, Fig. 5's verdicts and both matrices per composite
-  // row. `attacks` reports the matrix size (identical across schemes, since
-  // every scheme runs the same spec list); `cfi_hijacks`, when given,
-  // collects the attacks that still hijack under CFI (the [19,15,9]-style
-  // bypasses).
-  const Stopwatch attacks_watch;
-  const auto run_ripe_table = [&flags](
-      std::vector<cpi::attacks::AttackResult> (*run)(const Config&, int),
-      std::vector<RipeRow>* rows, int* attacks, std::vector<std::string>* cfi_hijacks) {
-    for (const ProtectionScheme* s : cpi::core::SchemeRegistry::RipeRows()) {
-      Config config;
-      config.protection = s->id();
-      config.engine = flags.engine;
-      RipeRow row;
-      row.scheme = s;
-      *attacks = 0;
-      for (const auto& r : run(config, flags.jobs)) {
-        ++row.counts[static_cast<int>(r.outcome)];
-        ++*attacks;
-        if (cfi_hijacks != nullptr && s->id() == Protection::kCfi && r.Hijacked()) {
-          cfi_hijacks->push_back(r.spec.Name());
-        }
-      }
-      rows->push_back(row);
-    }
-  };
-  std::vector<RipeRow> ripe_rows;
-  int ripe_attacks = 0;
-  std::vector<std::string> cfi_hijacks;
-  run_ripe_table(&cpi::attacks::RunAttackMatrix, &ripe_rows, &ripe_attacks, &cfi_hijacks);
-
-  // Cross-thread rows: thread A corrupting thread B's saved return address
-  // (regular slot) and probing its safe-stack home. A separate table so the
-  // historical ripe_effectiveness payload stays byte-identical.
-  std::vector<RipeRow> ripe_concurrent_rows;
-  int ripe_concurrent_attacks = 0;
-  run_ripe_table(&cpi::attacks::RunCrossThreadMatrix, &ripe_concurrent_rows,
-                 &ripe_concurrent_attacks, /*cfi_hijacks=*/nullptr);
-
-  std::vector<Fig5Row> fig5_rows;
-  for (size_t di = 0; di < defense_rows.size(); ++di) {
-    const ProtectionScheme* s = defense_rows[di];
-    Fig5Row row;
-    row.scheme = s;
-    // Matrix verdict: reuse the RIPE rows where possible (every built-in
-    // defense row is also a RIPE row), so the matrix runs once per scheme
-    // in the whole suite; a defense-only scheme gets its own matrix run
-    // rather than a silent hijacked=0 default.
-    bool have_matrix = false;
-    for (const RipeRow& r : ripe_rows) {
-      if (r.scheme->id() == s->id()) {
-        row.hijacked = r.counts[0];
-        row.attacks = r.counts[0] + r.counts[1] + r.counts[2] + r.counts[3];
-        have_matrix = true;
-      }
-    }
-    if (!have_matrix) {
-      Config config;
-      config.protection = s->id();
-      config.engine = flags.engine;
-      for (const auto& r : cpi::attacks::RunAttackMatrix(config, flags.jobs)) {
-        ++row.attacks;
-        if (r.Hijacked()) {
-          ++row.hijacked;
-        }
-      }
-    }
     std::vector<double> overheads;
-    for (const Measurement& m : fig5_ms) {
-      if (m.status.at(s->id()) != cpi::vm::RunStatus::kOk) {
-        row.some_fail = true;
-        continue;
-      }
-      overheads.push_back(m.overhead_pct.at(s->id()));
+    for (size_t k = 0; k < spec.size(); ++k) {
+      overheads.push_back(overhead(comp_plan[ci][k], spec_vanilla[k]));
     }
-    if (!overheads.empty()) {
-      row.has_overhead = true;
-      row.avg_overhead_pct = cpi::Mean(overheads);
-    }
-    fig5_rows.push_back(row);
+    composite_rows.Push(
+        Node::Object()
+            .Add("name", composite_schemes[ci]->name())
+            .Add("mechanism", composite_schemes[ci]->description())
+            .Add("avg_overhead_pct", Pct(cpi::Mean(overheads)))
+            .Add("overhead_pct", PctMap(spec_names, overheads))
+            .Add("ripe", Tally(composite_attacks[ci].first, Node::Object(), true))
+            .Add("ripe_concurrent", Tally(composite_attacks[ci].second, Node::Object(), true)));
   }
-
-  for (CompositeRow& row : composite_rows) {
-    Config config;
-    config.protection = row.scheme->id();
-    config.scheme = row.scheme;
-    config.engine = flags.engine;
-    row.ripe.scheme = row.scheme;
-    for (const auto& r : cpi::attacks::RunAttackMatrix(config, flags.jobs)) {
-      ++row.ripe.counts[static_cast<int>(r.outcome)];
-      if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
-        ++row.ripe_auth_aborts;
-      }
-    }
-    row.ripe_concurrent.scheme = row.scheme;
-    for (const auto& r : cpi::attacks::RunCrossThreadMatrix(config, flags.jobs)) {
-      ++row.ripe_concurrent.counts[static_cast<int>(r.outcome)];
-      if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
-        ++row.ripec_auth_aborts;
-      }
-    }
-  }
-  const double attacks_ms = attacks_watch.Ms();
-
-  const double wall_ms = total.Ms();
+  tables.Add("table_composites", Node::Object()
+                                     .Add("attacks", ripe_attacks)
+                                     .Add("concurrent_attacks", ripe_concurrent_attacks)
+                                     .Add("rows", std::move(composite_rows)));
 
   // -------------------------------------------------------------------------
-  // Failure audit. The overhead tables tolerate failing cells (they surface
-  // in the JSON "fails" arrays) so one bad scheme cannot abort a long sweep,
-  // but the suite as a whole must not exit 0 when a cell silently failed.
-  // SoftBound is the documented exemption: the paper reports it breaking on
-  // unsafe pointer idioms (Table 3), and the recorded baselines carry those
-  // cells as fails:["softbound"].
-  int unexpected_failures = 0;
-  const auto audit = [&unexpected_failures](const char* table,
-                                            const std::vector<Measurement>& ms) {
-    for (const Measurement& m : ms) {
-      for (const auto& [p, st] : m.status) {
-        if (st == cpi::vm::RunStatus::kOk || p == Protection::kSoftBound) {
-          continue;
-        }
-        std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
-                     m.workload.c_str(), SchemeName(p), cpi::vm::RunStatusName(st));
-        ++unexpected_failures;
-      }
-    }
-  };
-  audit("table1/table3", spec_ms);
-  audit("fig4_phoronix", phoronix_ms);
-  audit("table4_webserver", web_ms);
-  audit("table4_concurrent", mt_ms);
-  audit("fig5_subset", fig5_ms);
-  if (unexpected_failures != 0) {
-    std::fprintf(stderr, "suite: %d unexpected cell failure(s); exiting non-zero\n",
-                 unexpected_failures);
+  // The report. Everything outside "tables" may vary between runs; the
+  // wall-clock split comes last, so the text report ends with it.
+  Node report = Node::Object()
+                    .Add("bench", "suite")
+                    .Add("scale", flags.scale)
+                    .Add("jobs", flags.jobs)
+                    .Add("hardware_concurrency", cpi::ThreadPool::DefaultJobs())
+                    .Add("tables", std::move(tables));
+
+  // Fusion statistics describe the execution tier, not the measured
+  // program, and vary with --engine while the tables never do.
+  const cpi::vm::FusionStats fusion = cpi::vm::GetFusionStats();
+  Node patterns = Node::Array();
+  for (size_t i = 0; i < std::min<size_t>(fusion.patterns.size(), 10); ++i) {
+    const cpi::vm::FusionPatternStat& ps = fusion.patterns[i];
+    patterns.Push(Node::Object()
+                      .Add("name", ps.name)
+                      .Add("sites", ps.sites)
+                      .Add("weight", ps.weight)
+                      .Add("hits", ps.hits));
   }
-  const int exit_code = unexpected_failures == 0 ? 0 : 1;
+  report.Add("engine", cpi::vm::EngineKindName(flags.engine))
+      .Add("fusion", Node::Object()
+                         .Add("modules", fusion.modules)
+                         .Add("ops_before", fusion.ops_before)
+                         .Add("ops_after", fusion.ops_after)
+                         .Add("patterns", std::move(patterns)));
 
-  // -------------------------------------------------------------------------
-  // JSON report.
-  if (flags.json) {
-    std::printf("{\"bench\":\"suite\",\"scale\":%d,\"jobs\":%d,"
-                "\"hardware_concurrency\":%d,\"wall_ms\":%.1f,\"build_ms\":%.1f,"
-                "\"cells_ms\":%.1f,\"attacks_ms\":%.1f,\"cells\":%zu,\"unique_cells\":%zu,"
-                "\"tables\":{",
-                flags.scale, flags.jobs, cpi::ThreadPool::DefaultJobs(), wall_ms, build_ms,
-                cells_ms, attacks_ms, cells.size(), unique_cells);
-
-    std::printf("\"table1_spec_overhead\":");
-    JsonOverheadTable(table1, /*lang=*/true, /*fails=*/false);
-
-    std::printf(",\"table2_compile_stats\":{\"rows\":[");
-    for (size_t i = 0; i < spec_ms.size(); ++i) {
-      const Measurement& m = spec_ms[i];
-      std::printf("%s{\"workload\":\"%s\",\"lang\":\"%s\",\"fnustack_pct\":%.3f,"
-                  "\"mocps_pct\":%.3f,\"mocpi_pct\":%.3f}",
-                  i == 0 ? "" : ",", m.workload.c_str(), m.language.c_str(),
-                  m.stats.FnuStackPercent(), m.stats.MoCpsPercent(),
-                  m.stats.MoCpiPercent());
+  // Diagnostic listings: the attacks behind the cfi RIPE row's hijack count
+  // (the [19,15,9]-style bypasses), and (--opt >= 1) the optimizer's static
+  // work.
+  Node cfi_hijacks = Node::Array();
+  for (const cpi::attacks::AttackResult& r :
+       ripe.at(&cpi::core::SchemeRegistry::Get(Protection::kCfi))) {
+    if (r.Hijacked()) {
+      cfi_hijacks.Push(r.spec.Name());
     }
-    std::printf("]}");
-
-    std::printf(",\"table3_softbound\":");
-    JsonOverheadTable(table3, /*lang=*/false, /*fails=*/true);
-
-    std::printf(",\"table4_webserver\":");
-    JsonOverheadTable(table4, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"table4_concurrent\":");
-    JsonOverheadTable(table4_concurrent, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"fig4_phoronix\":");
-    JsonOverheadTable(fig4, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"fig5_defense_matrix\":{\"rows\":[");
-    for (size_t i = 0; i < fig5_rows.size(); ++i) {
-      const Fig5Row& r = fig5_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"mechanism\":\"%s\",\"hijacked\":%d,"
-                  "\"attacks\":%d,\"stops_all\":%s,\"some_fail\":%s,"
-                  "\"avg_overhead_pct\":",
-                  i == 0 ? "" : ",", r.scheme->name(), r.scheme->description(),
-                  r.hijacked, r.attacks, r.hijacked == 0 ? "true" : "false",
-                  r.some_fail ? "true" : "false");
-      if (r.has_overhead) {
-        std::printf("%.3f}", r.avg_overhead_pct);
-      } else {
-        std::printf("null}");
-      }
-    }
-    std::printf("]}");
-
-    std::printf(",\"ablation_isolation\":{\"rows\":[");
-    for (size_t wi = 0; wi < iso.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                  iso.workloads[wi].c_str());
-      for (size_t c = 0; c < iso.columns.size(); ++c) {
-        std::printf("%s\"%s\":%.3f", c == 0 ? "" : ",", iso.columns[c].first.c_str(),
-                    iso.columns[c].second[wi]);
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{");
-    for (size_t c = 0; c < iso.columns.size(); ++c) {
-      std::printf("%s\"%s\":%.3f", c == 0 ? "" : ",", iso.columns[c].first.c_str(),
-                  cpi::Mean(iso.columns[c].second));
-    }
-    std::printf("}}");
-
-    std::printf(",\"ablation_mpx\":{\"rows\":[");
-    for (size_t wi = 0; wi < mpx.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"software_pct\":%.3f,\"mpx_pct\":%.3f}",
-                  wi == 0 ? "" : ",", mpx.workloads[wi].c_str(), mpx.software_pct[wi],
-                  mpx.mpx_pct[wi]);
-    }
-    std::printf("],\"average\":{\"software_pct\":%.3f,\"mpx_pct\":%.3f}}",
-                cpi::Mean(mpx.software_pct), cpi::Mean(mpx.mpx_pct));
-
-    std::printf(",\"ripe_effectiveness\":{\"attacks\":%d,\"rows\":[", ripe_attacks);
-    for (size_t i = 0; i < ripe_rows.size(); ++i) {
-      const RipeRow& r = ripe_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"hijacked\":%d,\"prevented\":%d,"
-                  "\"crashed\":%d,\"no_effect\":%d}",
-                  i == 0 ? "" : ",", r.scheme->name(), r.counts[0], r.counts[1],
-                  r.counts[2], r.counts[3]);
-    }
-    std::printf("]}");
-
-    std::printf(",\"ripe_concurrent\":{\"attacks\":%d,\"rows\":[",
-                ripe_concurrent_attacks);
-    for (size_t i = 0; i < ripe_concurrent_rows.size(); ++i) {
-      const RipeRow& r = ripe_concurrent_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"hijacked\":%d,\"prevented\":%d,"
-                  "\"crashed\":%d,\"no_effect\":%d}",
-                  i == 0 ? "" : ",", r.scheme->name(), r.counts[0], r.counts[1],
-                  r.counts[2], r.counts[3]);
-    }
-    std::printf("]}");
-
-    if (flags.opt >= 1) {
-      std::printf(",\"ablation_opt\":{\"opt_level\":%d,\"rows\":[", flags.opt);
-      for (size_t wi = 0; wi < opt_ablation.workloads.size(); ++wi) {
-        std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                    opt_ablation.workloads[wi].c_str());
-        for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-          const Protection p = overhead_protections[pi];
-          const auto& [o0, o1] = opt_ablation.overhead_pct.at(p)[wi];
-          std::printf("%s\"%s\":{\"o0\":%.3f,\"o1\":%.3f}", pi == 0 ? "" : ",",
-                      SchemeName(p), o0, o1);
-        }
-        std::printf("}}");
-      }
-      std::printf("],\"average\":{");
-      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-        const Protection p = overhead_protections[pi];
-        std::vector<double> o0s;
-        std::vector<double> o1s;
-        for (const auto& [o0, o1] : opt_ablation.overhead_pct.at(p)) {
-          o0s.push_back(o0);
-          o1s.push_back(o1);
-        }
-        std::printf("%s\"%s\":{\"o0\":%.3f,\"o1\":%.3f}", pi == 0 ? "" : ",",
-                    SchemeName(p), cpi::Mean(o0s), cpi::Mean(o1s));
-      }
-      std::printf("}}");
-    }
-
-    std::printf(",\"mem_overhead\":{\"stores\":[");
-    for (size_t i = 0; i < mem_rows.size(); ++i) {
-      std::printf("%s{\"store\":\"%s\",\"median_overhead_pct\":{", i == 0 ? "" : ",",
-                  cpi::runtime::StoreKindName(mem_rows[i].store));
-      for (size_t j = 0; j < overhead_protections.size(); ++j) {
-        const Protection p = overhead_protections[j];
-        std::printf("%s\"%s\":%.3f", j == 0 ? "" : ",", SchemeName(p),
-                    mem_rows[i].median_overhead_pct.at(p));
-      }
-      std::printf("},\"median_safe_store_bytes\":{");
-      for (size_t j = 0; j < overhead_protections.size(); ++j) {
-        const Protection p = overhead_protections[j];
-        std::printf("%s\"%s\":%.0f", j == 0 ? "" : ",", SchemeName(p),
-                    mem_rows[i].median_safe_store_bytes.at(p));
-      }
-      std::printf("}}");
-    }
-    std::printf("]}");
-
-    std::printf(",\"ablation_shards\":{\"shard_counts\":[");
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s%u", si == 0 ? "" : ",", shard_ablation.shard_counts[si]);
-    }
-    std::printf("],\"rows\":[");
-    for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                  shard_ablation.workloads[wi].c_str());
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    shard_ablation.shard_counts[si],
-                    shard_ablation.overhead_pct[wi][si]);
-      }
-      std::printf("},\"contended_pct\":{");
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    shard_ablation.shard_counts[si],
-                    shard_ablation.contended_pct[wi][si]);
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{\"overhead_pct\":{");
-    const auto shard_column_mean = [&shard_ablation](
-        const std::vector<std::vector<double>>& rows, size_t si) {
-      std::vector<double> col;
-      for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-        col.push_back(rows[wi][si]);
-      }
-      return cpi::Mean(col);
-    };
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",", shard_ablation.shard_counts[si],
-                  shard_column_mean(shard_ablation.overhead_pct, si));
-    }
-    std::printf("},\"contended_pct\":{");
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",", shard_ablation.shard_counts[si],
-                  shard_column_mean(shard_ablation.contended_pct, si));
-    }
-    std::printf("}}}");
-
-    std::printf(",\"ablation_churn\":{\"shard_counts\":[");
-    for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-      std::printf("%s%u", si == 0 ? "" : ",", churn_ablation.shard_counts[si]);
-    }
-    std::printf("],\"rows\":[");
-    const auto print_churn_map = [&](const char* key,
-                                     const std::vector<double>& vals) {
-      std::printf("\"%s\":{", key);
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si], vals[si]);
-      }
-      std::printf("}");
-    };
-    for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",", wi == 0 ? "" : ",",
-                  churn_ablation.workloads[wi].c_str());
-      print_churn_map("static_overhead_pct", churn_ablation.static_overhead_pct[wi]);
-      std::printf(",");
-      print_churn_map("epoch_overhead_pct", churn_ablation.epoch_overhead_pct[wi]);
-      std::printf(",");
-      print_churn_map("static_contended_pct", churn_ablation.static_contended_pct[wi]);
-      std::printf(",");
-      print_churn_map("epoch_contended_pct", churn_ablation.epoch_contended_pct[wi]);
-      std::printf(",\"migrations\":{");
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%llu", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si],
-                    static_cast<unsigned long long>(churn_ablation.migrations[wi][si]));
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{");
-    const auto churn_column_mean = [&churn_ablation](
-        const std::vector<std::vector<double>>& rows, size_t si) {
-      std::vector<double> col;
-      for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-        col.push_back(rows[wi][si]);
-      }
-      return cpi::Mean(col);
-    };
-    const auto print_churn_avg = [&](const char* key,
-                                     const std::vector<std::vector<double>>& rows) {
-      std::printf("\"%s\":{", key);
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si], churn_column_mean(rows, si));
-      }
-      std::printf("}");
-    };
-    print_churn_avg("static_contended_pct", churn_ablation.static_contended_pct);
-    std::printf(",");
-    print_churn_avg("epoch_contended_pct", churn_ablation.epoch_contended_pct);
-    std::printf("}}");
-
-    std::printf(",\"table_composites\":{\"attacks\":%d,\"concurrent_attacks\":%d,"
-                "\"rows\":[",
-                ripe_attacks, ripe_concurrent_attacks);
-    const auto print_composite_ripe = [](const char* key, const RipeRow& r,
-                                         int auth_aborts) {
-      std::printf("\"%s\":{\"hijacked\":%d,\"prevented\":%d,\"crashed\":%d,"
-                  "\"no_effect\":%d,\"auth_aborts\":%d}",
-                  key, r.counts[0], r.counts[1], r.counts[2], r.counts[3],
-                  auth_aborts);
-    };
-    for (size_t ri = 0; ri < composite_rows.size(); ++ri) {
-      const CompositeRow& row = composite_rows[ri];
-      std::printf("%s{\"name\":\"%s\",\"mechanism\":\"%s\",", ri == 0 ? "" : ",",
-                  row.scheme->name(), row.scheme->description());
-      std::printf("\"avg_overhead_pct\":%.3f,\"overhead_pct\":{",
-                  row.avg_overhead_pct);
-      for (size_t wi = 0; wi < spec.size(); ++wi) {
-        std::printf("%s\"%s\":%.3f", wi == 0 ? "" : ",", spec[wi].name.c_str(),
-                    row.overhead_pct[wi]);
-      }
-      std::printf("},");
-      print_composite_ripe("ripe", row.ripe, row.ripe_auth_aborts);
-      std::printf(",");
-      print_composite_ripe("ripe_concurrent", row.ripe_concurrent,
-                           row.ripec_auth_aborts);
-      std::printf("}");
-    }
-    std::printf("]}");
-
-    std::printf("}");  // closes "tables" — byte-identical across engines
-
-    // Fusion statistics live OUTSIDE .tables: they describe the execution
-    // tier, not the measured program, and vary with --engine while the
-    // tables never do.
-    const cpi::vm::FusionStats fusion = cpi::vm::GetFusionStats();
-    std::printf(",\"engine\":\"%s\",\"fusion\":{\"modules\":%llu,"
-                "\"ops_before\":%llu,\"ops_after\":%llu,\"patterns\":[",
-                cpi::vm::EngineKindName(flags.engine),
-                static_cast<unsigned long long>(fusion.modules),
-                static_cast<unsigned long long>(fusion.ops_before),
-                static_cast<unsigned long long>(fusion.ops_after));
-    const size_t npat = std::min<size_t>(fusion.patterns.size(), 10);
-    for (size_t i = 0; i < npat; ++i) {
-      const cpi::vm::FusionPatternStat& ps = fusion.patterns[i];
-      std::printf("%s{\"name\":\"%s\",\"sites\":%llu,\"weight\":%llu,"
-                  "\"hits\":%llu}",
-                  i == 0 ? "" : ",", ps.name.c_str(),
-                  static_cast<unsigned long long>(ps.sites),
-                  static_cast<unsigned long long>(ps.weight),
-                  static_cast<unsigned long long>(ps.hits));
-    }
-    std::printf("]}");
-
-    // Diagnostic listings, also outside .tables: the attacks behind the cfi
-    // RIPE row's hijack count, and (--opt >= 1) the optimizer's static work.
-    std::printf(",\"cfi_hijacks\":[");
-    for (size_t i = 0; i < cfi_hijacks.size(); ++i) {
-      std::printf("%s\"%s\"", i == 0 ? "" : ",", cfi_hijacks[i].c_str());
-    }
-    std::printf("]");
-    if (flags.opt >= 1) {
-      std::printf(",\"opt_instrumentation\":{\"opt_level\":%d,\"rows\":[", flags.opt);
-      for (size_t wi = 0; wi < opt_counts.size(); ++wi) {
-        const cpi::core::CompileOutput& co = opt_counts[wi];
-        std::printf("%s{\"workload\":\"%s\",\"vanilla\":%zu,\"instrumented\":%zu,"
-                    "\"optimized\":%zu,\"removed\":%llu,\"checks_elim\":%llu,"
-                    "\"store_ops_elim\":%llu}",
-                    wi == 0 ? "" : ",", spec[wi].name.c_str(), co.instructions_before,
-                    co.instructions_after, co.instructions_after_opt,
-                    static_cast<unsigned long long>(co.opt.TotalRemoved()),
-                    static_cast<unsigned long long>(co.opt.TotalEliminatedChecks()),
-                    static_cast<unsigned long long>(EliminatedSafeStoreOps(co.opt)));
-      }
-      std::printf("],\"passes\":[");
-      bool first = true;
-      for (const auto& [name, ps] : opt_per_pass) {
-        std::printf("%s{\"pass\":\"%s\",\"removed\":%llu,\"checks_elim\":%llu,"
-                    "\"store_ops_elim\":%llu,\"seal_ops_elim\":%llu,"
-                    "\"forwarded_loads\":%llu,\"leaf_ret_elisions\":%llu}",
-                    first ? "" : ",", name.c_str(),
-                    static_cast<unsigned long long>(ps.removed_instructions),
-                    static_cast<unsigned long long>(ps.eliminated_checks),
-                    static_cast<unsigned long long>(ps.eliminated_safe_store_ops),
-                    static_cast<unsigned long long>(ps.eliminated_seal_ops),
-                    static_cast<unsigned long long>(ps.forwarded_loads),
-                    static_cast<unsigned long long>(ps.leaf_ret_elisions));
-        first = false;
-      }
-      std::printf("]}");
-    }
-    std::printf("}\n");
-    return exit_code;
   }
-
-  // -------------------------------------------------------------------------
-  // Human report.
-  std::printf("Unified bench suite — all paper tables, one process "
-              "(scale %d, jobs %d)\n\n",
-              flags.scale, flags.jobs);
-
-  std::printf("Table 1 / Fig. 3 — SPEC CPU2006 performance overhead\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark", "Lang"};
-    for (Protection p : table1.columns) {
-      header.push_back(SchemeName(p));
-    }
-    Table t(header);
-    for (const Measurement* m : table1.rows) {
-      std::vector<std::string> row = {m->workload, m->language};
-      for (Protection p : table1.columns) {
-        row.push_back(Table::FormatPercent(m->OverheadPct(p)));
-      }
-      t.AddRow(row);
-    }
-    t.AddSeparator();
-    // The paper's headline summary rows.
-    const struct {
-      const char* label;
-      const char* language;  // "" = all
-      double (*reduce)(const std::vector<double>&);
-    } summaries[] = {
-        {"Average (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Mean(xs); }},
-        {"Median (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Median(xs); }},
-        {"Maximum (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Max(xs); }},
-        {"Average (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Mean(xs); }},
-        {"Median (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Median(xs); }},
-        {"Maximum (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Max(xs); }},
-    };
-    for (const auto& s : summaries) {
-      std::vector<std::string> row = {s.label, ""};
-      for (Protection p : table1.columns) {
-        const std::vector<double> xs =
-            s.language[0] == '\0'
-                ? cpi::workloads::OverheadColumn(spec_ms, p)
-                : cpi::workloads::OverheadColumnForLanguage(spec_ms, p, s.language);
-        row.push_back(Table::FormatPercent(s.reduce(xs)));
-      }
-      t.AddRow(row);
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Table 2 — Levee compilation statistics\n\n");
-  {
-    Table t({"Benchmark", "Lang", "FNUStack", "MOCPS", "MOCPI"});
-    for (const auto& m : spec_ms) {
-      t.AddRow({m.workload, m.language, Table::FormatPercent(m.stats.FnuStackPercent()),
-                Table::FormatPercent(m.stats.MoCpsPercent()),
-                Table::FormatPercent(m.stats.MoCpiPercent())});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  PrintOverheadTable("Table 3 — Levee vs SoftBound-style full memory safety", table3,
-                     /*lang=*/false);
-  PrintOverheadTable("Table 4 — web-server stack throughput overhead", table4,
-                     /*lang=*/false);
-  PrintOverheadTable("Table 4 (concurrent) — multi-worker servers, simulated threads",
-                     table4_concurrent, /*lang=*/false);
-  PrintOverheadTable("Fig. 4 — Phoronix suite performance overhead", fig4,
-                     /*lang=*/false);
-
-  std::printf("Fig. 5 — control-flow hijack defense mechanisms\n\n");
-  {
-    Table t({"Mechanism", "Stops all control-flow hijacks?", "Avg overhead"});
-    for (const Fig5Row& r : fig5_rows) {
-      std::string verdict = r.hijacked == 0
-                                ? "Yes"
-                                : "No: " + std::to_string(r.hijacked) + "/" +
-                                      std::to_string(r.attacks) + " attacks still hijack";
-      std::string overhead =
-          r.has_overhead ? Table::FormatPercent(r.avg_overhead_pct) : std::string("n/a");
-      if (r.some_fail) {
-        overhead += " (some fail)";
-      }
-      t.AddRow({r.scheme->description(), verdict, overhead});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation (§3.2.3) — isolation mechanism cost under CPI\n\n");
-  {
-    Table t({"Benchmark", "segment", "info-hiding", "sfi"});
-    for (size_t wi = 0; wi < iso.workloads.size(); ++wi) {
-      t.AddRow({iso.workloads[wi], Table::FormatPercent(iso.columns[0].second[wi]),
-                Table::FormatPercent(iso.columns[1].second[wi]),
-                Table::FormatPercent(iso.columns[2].second[wi])});
-    }
-    t.AddSeparator();
-    t.AddRow({"Average", Table::FormatPercent(cpi::Mean(iso.columns[0].second)),
-              Table::FormatPercent(cpi::Mean(iso.columns[1].second)),
-              Table::FormatPercent(cpi::Mean(iso.columns[2].second))});
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation (§4) — projected hardware-assisted (MPX-style) CPI\n\n");
-  {
-    Table t({"Benchmark", "CPI (software)", "CPI (MPX-assisted)"});
-    for (size_t wi = 0; wi < mpx.workloads.size(); ++wi) {
-      t.AddRow({mpx.workloads[wi], Table::FormatPercent(mpx.software_pct[wi]),
-                Table::FormatPercent(mpx.mpx_pct[wi])});
-    }
-    t.AddSeparator();
-    t.AddRow({"Average", Table::FormatPercent(cpi::Mean(mpx.software_pct)),
-              Table::FormatPercent(cpi::Mean(mpx.mpx_pct))});
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation — safe-region shard count (event-loop + concurrent servers)\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark"};
-    for (uint32_t shards : shard_ablation.shard_counts) {
-      header.push_back("S=" + std::to_string(shards));
-    }
-    const auto print_shard_table = [&](const std::vector<std::vector<double>>& rows) {
-      Table t(header);
-      for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-        std::vector<std::string> row = {shard_ablation.workloads[wi]};
-        for (double v : rows[wi]) {
-          row.push_back(Table::FormatPercent(v));
-        }
-        t.AddRow(row);
-      }
-      t.AddSeparator();
-      std::vector<std::string> avg = {"Average"};
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::vector<double> col;
-        for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-          col.push_back(rows[wi][si]);
-        }
-        avg.push_back(Table::FormatPercent(cpi::Mean(col)));
-      }
-      t.AddRow(avg);
-      t.Print();
-    };
-    std::printf("CPI overhead vs vanilla at each shard count:\n\n");
-    print_shard_table(shard_ablation.overhead_pct);
-    std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
-    print_shard_table(shard_ablation.contended_pct);
-    std::printf("\n");
-  }
-
-  std::printf("Ablation — static vs epoch shard ownership (worker churn)\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark"};
-    for (uint32_t shards : churn_ablation.shard_counts) {
-      header.push_back("S=" + std::to_string(shards) + " st");
-      header.push_back("S=" + std::to_string(shards) + " ep");
-    }
-    const auto print_churn_table = [&](const std::vector<std::vector<double>>& st,
-                                       const std::vector<std::vector<double>>& ep) {
-      Table t(header);
-      const size_t n_counts = churn_ablation.shard_counts.size();
-      for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-        std::vector<std::string> row = {churn_ablation.workloads[wi]};
-        for (size_t si = 0; si < n_counts; ++si) {
-          row.push_back(Table::FormatPercent(st[wi][si]));
-          row.push_back(Table::FormatPercent(ep[wi][si]));
-        }
-        t.AddRow(row);
-      }
-      t.AddSeparator();
-      std::vector<std::string> avg = {"Average"};
-      for (size_t si = 0; si < n_counts; ++si) {
-        for (const auto* rows : {&st, &ep}) {
-          std::vector<double> col;
-          for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-            col.push_back((*rows)[wi][si]);
-          }
-          avg.push_back(Table::FormatPercent(cpi::Mean(col)));
-        }
-      }
-      t.AddRow(avg);
-      t.Print();
-    };
-    std::printf("CPI overhead vs vanilla, static (st) vs epoch (ep) ownership:\n\n");
-    print_churn_table(churn_ablation.static_overhead_pct,
-                      churn_ablation.epoch_overhead_pct);
-    std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
-    print_churn_table(churn_ablation.static_contended_pct,
-                      churn_ablation.epoch_contended_pct);
-    std::printf("\n");
-  }
-
-  std::printf("RIPE-style attack matrix (§5.1): %d attack combinations\n\n", ripe_attacks);
-  {
-    Table t({"Protection", "Hijacked", "Prevented", "Crashed", "No effect"});
-    for (const RipeRow& r : ripe_rows) {
-      t.AddRow({r.scheme->name(), std::to_string(r.counts[0]),
-                std::to_string(r.counts[1]), std::to_string(r.counts[2]),
-                std::to_string(r.counts[3])});
-    }
-    t.Print();
-    std::printf("\nDetailed CFI bypasses (the [19,15,9]-style attacks):\n");
-    for (const std::string& name : cfi_hijacks) {
-      std::printf("  HIJACKED under CFI: %s\n", name.c_str());
-    }
-    std::printf("\n");
-  }
-
-  std::printf("Cross-thread attack matrix: %d combinations (thread A vs thread B)\n\n",
-              ripe_concurrent_attacks);
-  {
-    Table t({"Protection", "Hijacked", "Prevented", "Crashed", "No effect"});
-    for (const RipeRow& r : ripe_concurrent_rows) {
-      t.AddRow({r.scheme->name(), std::to_string(r.counts[0]),
-                std::to_string(r.counts[1]), std::to_string(r.counts[2]),
-                std::to_string(r.counts[3])});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Composite schemes — stacked pipelines (overhead + both matrices)\n\n");
-  {
-    Table t({"Scheme", "Avg overhead", "RIPE hijacked", "RIPE auth-aborts",
-             "X-thread hijacked", "X-thread auth-aborts"});
-    for (const CompositeRow& row : composite_rows) {
-      t.AddRow({row.scheme->name(), Table::FormatPercent(row.avg_overhead_pct),
-                std::to_string(row.ripe.counts[0]) + "/" + std::to_string(ripe_attacks),
-                std::to_string(row.ripe_auth_aborts),
-                std::to_string(row.ripe_concurrent.counts[0]) + "/" +
-                    std::to_string(ripe_concurrent_attacks),
-                std::to_string(row.ripec_auth_aborts)});
-    }
-    t.Print();
-    std::printf("\nThe ret-chain rows convert saved-return corruption — including the\n"
-                "cross-thread variants — into kPointerAuthFailure aborts (auth-aborts).\n\n");
-  }
-
+  report.Add("cfi_hijacks", std::move(cfi_hijacks));
   if (flags.opt >= 1) {
-    std::printf("Ablation — post-instrumentation optimizer (overhead at O0 vs O%d)\n\n",
-                flags.opt);
-    std::vector<std::string> header = {"Benchmark"};
-    for (Protection p : overhead_protections) {
-      header.push_back(std::string(SchemeName(p)) + " O0");
-      header.push_back(std::string(SchemeName(p)) + " O" + std::to_string(flags.opt));
-    }
-    Table t(header);
-    for (size_t wi = 0; wi < opt_ablation.workloads.size(); ++wi) {
-      std::vector<std::string> row = {opt_ablation.workloads[wi]};
-      for (Protection p : overhead_protections) {
-        const auto& [o0, o1] = opt_ablation.overhead_pct.at(p)[wi];
-        row.push_back(Table::FormatPercent(o0));
-        row.push_back(Table::FormatPercent(o1));
+    Node rows = Node::Array();
+    std::map<std::string, cpi::opt::PassStats> per_pass;
+    for (size_t k = 0; k < opt_counts.size(); ++k) {
+      const cpi::core::CompileOutput& co = opt_counts[k];
+      rows.Push(Node::Object()
+                    .Add("workload", spec[k].name)
+                    .Add("vanilla", co.instructions_before)
+                    .Add("instrumented", co.instructions_after)
+                    .Add("optimized", co.instructions_after_opt)
+                    .Add("removed", co.opt.TotalRemoved())
+                    .Add("checks_elim", co.opt.TotalEliminatedChecks())
+                    .Add("store_ops_elim", EliminatedSafeStoreOps(co.opt)));
+      for (const cpi::opt::PassStats& ps : co.opt.passes) {
+        cpi::opt::PassStats& agg = per_pass[ps.pass];
+        agg.removed_instructions += ps.removed_instructions;
+        agg.eliminated_checks += ps.eliminated_checks;
+        agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
+        agg.eliminated_seal_ops += ps.eliminated_seal_ops;
+        agg.forwarded_loads += ps.forwarded_loads;
+        agg.leaf_ret_elisions += ps.leaf_ret_elisions;
       }
-      t.AddRow(row);
     }
-    t.AddSeparator();
-    std::vector<std::string> avg = {"Average"};
-    for (Protection p : overhead_protections) {
-      std::vector<double> o0s;
-      std::vector<double> o1s;
-      for (const auto& [o0, o1] : opt_ablation.overhead_pct.at(p)) {
-        o0s.push_back(o0);
-        o1s.push_back(o1);
-      }
-      avg.push_back(Table::FormatPercent(cpi::Mean(o0s)));
-      avg.push_back(Table::FormatPercent(cpi::Mean(o1s)));
+    Node passes = Node::Array();
+    for (const auto& [name, ps] : per_pass) {
+      passes.Push(Node::Object()
+                      .Add("pass", name)
+                      .Add("removed", ps.removed_instructions)
+                      .Add("checks_elim", ps.eliminated_checks)
+                      .Add("store_ops_elim", ps.eliminated_safe_store_ops)
+                      .Add("seal_ops_elim", ps.eliminated_seal_ops)
+                      .Add("forwarded_loads", ps.forwarded_loads)
+                      .Add("leaf_ret_elisions", ps.leaf_ret_elisions));
     }
-    t.AddRow(avg);
-    t.Print();
-
-    std::printf("\nCPI instrumentation counts at --opt %d "
-                "(instructions: vanilla / instrumented / optimized)\n\n",
-                flags.opt);
-    Table counts_table({"Benchmark", "Vanilla", "Instrumented", "Optimized", "Removed",
-                        "ChecksElim", "StoreOpsElim"});
-    for (size_t wi = 0; wi < opt_counts.size(); ++wi) {
-      const cpi::core::CompileOutput& co = opt_counts[wi];
-      counts_table.AddRow({spec[wi].name, std::to_string(co.instructions_before),
-                           std::to_string(co.instructions_after),
-                           std::to_string(co.instructions_after_opt),
-                           std::to_string(co.opt.TotalRemoved()),
-                           std::to_string(co.opt.TotalEliminatedChecks()),
-                           std::to_string(EliminatedSafeStoreOps(co.opt))});
-    }
-    counts_table.Print();
-
-    std::printf("\nPer-pass statistics (aggregated over the SPEC set):\n\n");
-    Table pass_table({"Pass", "Removed", "ChecksElim", "StoreOpsElim", "SealOpsElim",
-                      "ForwardedLoads", "LeafRetElisions"});
-    for (const auto& [name, ps] : opt_per_pass) {
-      pass_table.AddRow({name, std::to_string(ps.removed_instructions),
-                         std::to_string(ps.eliminated_checks),
-                         std::to_string(ps.eliminated_safe_store_ops),
-                         std::to_string(ps.eliminated_seal_ops),
-                         std::to_string(ps.forwarded_loads),
-                         std::to_string(ps.leaf_ret_elisions)});
-    }
-    pass_table.Print();
-    std::printf("\n");
+    report.Add("opt_instrumentation", Node::Object()
+                                          .Add("opt_level", flags.opt)
+                                          .Add("rows", std::move(rows))
+                                          .Add("passes", std::move(passes)));
   }
 
-  std::printf("§5.2 — memory overhead of the safe region (median over SPEC models)\n\n");
-  {
-    std::vector<std::string> header = {"Configuration"};
-    for (Protection p : overhead_protections) {
-      header.push_back(SchemeName(p));
-    }
-    Table t(header);
-    for (const auto& row : mem_rows) {
-      std::vector<std::string> cells = {std::string("store = ") +
-                                        cpi::runtime::StoreKindName(row.store)};
-      for (Protection p : overhead_protections) {
-        cells.push_back(Table::FormatPercent(row.median_overhead_pct.at(p)));
-      }
-      t.AddRow(cells);
-    }
-    t.Print();
-
-    std::printf("\nMedian resident safe-store bytes (runtime shape per scheme):\n\n");
-    Table bytes_table(header);
-    for (const auto& row : mem_rows) {
-      std::vector<std::string> cells = {std::string("store = ") +
-                                        cpi::runtime::StoreKindName(row.store)};
-      for (Protection p : overhead_protections) {
-        cells.push_back(std::to_string(
-            static_cast<uint64_t>(row.median_safe_store_bytes.at(p))));
-      }
-      bytes_table.AddRow(cells);
-    }
-    bytes_table.Print();
-    std::printf("\n");
+  report.Add("cells", cells.size())
+      .Add("unique_cells", unique_cells)
+      .Add("wall_ms", Node::Number(total.Ms(), 1))
+      .Add("build_ms", Node::Number(build_ms, 1))
+      .Add("cells_ms", Node::Number(cells_ms, 1))
+      .Add("attacks_ms", Node::Number(attacks_ms, 1));
+  if (flags.json) {
+    cpi::bench::WriteJson(report);
+  } else {
+    cpi::bench::WriteText(report);
   }
-
-  if (flags.timing) {
-    std::printf("wall-clock: %.1f ms total (scale %d, jobs %d)\n", wall_ms, flags.scale,
-                flags.jobs);
-    std::printf("  build    %8.1f ms\n", build_ms);
-    std::printf("  cells    %8.1f ms  (%zu submitted, %zu unique)\n", cells_ms, cells.size(),
-                unique_cells);
-    std::printf("  attacks  %8.1f ms\n", attacks_ms);
-  }
-  return exit_code;
+  return unexpected_failures == 0 ? 0 : 1;
 }

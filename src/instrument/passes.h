@@ -1,9 +1,12 @@
 // The instrumentation passes of the Levee prototype (§4), plus the baselines
 // the paper compares against.
 //
-// Every pass rewrites the module in place, re-numbers values, and records
-// itself in Module::protection(). Composition rules follow the paper: the
-// SafeStack pass is part of both CPI and CPS deployments and also works
+// Each entry point is one stage of the scheme layer's staged pipeline
+// (core::PipelineStage): it rewrites the module in place and records itself
+// in Module::protection(), and leaves the final re-numbering of values to
+// the pipeline runner (core::RunStagePipeline calls FinalizeModule once,
+// after every stage). A scheme is its list of stages (src/core/scheme.cc):
+// CPI and CPS deployments add the SafeStack stage, which also works
 // stand-alone (-fstack-protector-safe); the baselines are mutually exclusive
 // with CPI/CPS.
 #ifndef CPI_SRC_INSTRUMENT_PASSES_H_
@@ -26,30 +29,29 @@ void ApplySafeStack(ir::Module& module);
 
 // §3.2.2: rewrites sensitive loads/stores into safe-pointer-store intrinsics,
 // adds bounds checks on sensitive dereferences and code-pointer assertions on
-// indirect calls. Includes the safe stack.
-void ApplyCpi(ir::Module& module, const PassOptions& options = {});
+// indirect calls.
+void ApplyCpiRewrites(ir::Module& module, const PassOptions& options = {});
 
-// §3.3: code-pointer-only protection, no bounds metadata. Includes the safe
-// stack.
-void ApplyCps(ir::Module& module, const PassOptions& options = {});
-
-// Baseline: SoftBound-style full spatial memory safety — every pointer-typed
-// load/store maintains shadow metadata and every non-trivial dereference is
-// checked.
-void ApplySoftBound(ir::Module& module);
-
-// Baseline: coarse-grained CFI — indirect calls may only target
-// address-taken functions.
-void ApplyCfi(ir::Module& module);
-
-// Baseline: stack cookies for functions with character-array locals.
-void ApplyStackCookies(ir::Module& module);
+// §3.3: code-pointer-only protection, no bounds metadata.
+void ApplyCpsRewrites(ir::Module& module, const PassOptions& options = {});
 
 // PACTight/LIPPEN-style in-place pointer sealing: code pointers are stored
 // sealed (keyed MAC over value+location in their high bits) in regular
 // memory, loads authenticate, indirect calls assert authentication. Needs no
 // safe region at all; the VM also seals saved return tokens in place.
-void ApplyPtrEnc(ir::Module& module, const PassOptions& options = {});
+void ApplyPtrEncRewrites(ir::Module& module, const PassOptions& options = {});
+
+// Baseline: SoftBound-style full spatial memory safety — every pointer-typed
+// load/store maintains shadow metadata and every non-trivial dereference is
+// checked.
+void ApplySoftBoundRewrites(ir::Module& module);
+
+// Baseline: coarse-grained CFI — indirect calls may only target
+// address-taken functions.
+void ApplyCfiRewrites(ir::Module& module);
+
+// Baseline: stack cookies for functions with character-array locals.
+void ApplyStackCookiesRewrites(ir::Module& module);
 
 // PACStack-style chained return MACs (ProtectionFlags::ret_chain): the VM
 // seals every saved return token over its predecessor and keeps a per-thread
@@ -57,18 +59,6 @@ void ApplyPtrEnc(ir::Module& module, const PassOptions& options = {});
 // pass — all the work happens in the VM. Mutually exclusive with PtrEnc,
 // which owns the plain sealed-return-slot format.
 void ApplyRetChain(ir::Module& module);
-
-// Rewrite-only stage entry points, as the scheme layer's staged pipeline
-// (core::PipelineStage) consumes them: each applies one scheme's IR rewrites
-// and records its protection flags, but leaves the final module re-numbering
-// to the pipeline runner. The ApplyX wrappers above remain byte-identical
-// compositions of these stages (rewrites, then FinalizeModule).
-void ApplyCpiRewrites(ir::Module& module, const PassOptions& options = {});
-void ApplyCpsRewrites(ir::Module& module, const PassOptions& options = {});
-void ApplyPtrEncRewrites(ir::Module& module, const PassOptions& options = {});
-void ApplySoftBoundRewrites(ir::Module& module);
-void ApplyCfiRewrites(ir::Module& module);
-void ApplyStackCookiesRewrites(ir::Module& module);
 
 // Re-numbers all functions; needed before execution even when no pass ran.
 void FinalizeModule(ir::Module& module);

@@ -17,7 +17,6 @@ namespace cpi::instrument {
 void ApplyRetChain(ir::Module& module) {
   CPI_CHECK(!module.protection().ptrenc && !module.protection().ret_chain);
   module.protection().ret_chain = true;
-  FinalizeModule(module);
 }
 
 }  // namespace cpi::instrument

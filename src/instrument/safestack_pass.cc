@@ -19,7 +19,6 @@ void ApplySafeStack(ir::Module& module) {
     f->set_needs_unsafe_frame(result.NeedsUnsafeFrame());
   }
   module.protection().safe_stack = true;
-  FinalizeModule(module);
 }
 
 void FinalizeModule(ir::Module& module) {

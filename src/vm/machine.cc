@@ -407,11 +407,15 @@ class Machine {
     if (!IsInSafeRegion(*addr)) [[likely]] {
       return &regular_;
     }
-    if (meta.IsSafeValue() && meta.kind == EntryKind::kData && meta.lower >= kSafeRegionBase &&
-        meta.lower <= meta.upper) {
+    if (ProvesSafeStack(meta)) {
       return &SafeStackOf(*addr, meta.lower);
     }
     return Route(addr);
+  }
+  // Provenance of a compiler-generated safe-stack object.
+  __attribute__((always_inline)) static bool ProvesSafeStack(const RegMeta& meta) {
+    return meta.IsSafeValue() && meta.kind == EntryKind::kData && meta.lower >= kSafeRegionBase &&
+           meta.lower <= meta.upper;
   }
   // Safe stacks are per-thread ByteMemory instances; the address (or, off
   // the end of a region, the provenance base) selects the owning thread, so
@@ -471,8 +475,8 @@ class Machine {
     return false;
   }
 
-  // Byte-granular helpers for the libc-style routines; charge per 8-byte
-  // chunk.
+  // Byte-granular helpers for the libc-style routines; ChargeChunked charges
+  // the range [addr, addr + len) accessed through `meta` per 8-byte chunk.
   bool ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out) {
     ByteMemory* mem = Resolve(&addr, meta);
     if (mem == nullptr) {
@@ -489,7 +493,7 @@ class Machine {
     const MemFault fault = mem->WriteByte(addr, value);
     return fault == MemFault::kNone || MemoryFault(fault, /*write=*/true);
   }
-  void ChargeChunked(uint64_t addr, uint64_t len);
+  void ChargeChunked(uint64_t addr, const RegMeta& meta, uint64_t len);
 
   // --- frames ---------------------------------------------------------------
   // Pushes a frame for `callee` on the current thread. Its registers start
@@ -994,11 +998,14 @@ ByteMemory* Machine::Route(uint64_t* addr) {
   CPI_UNREACHABLE();
 }
 
-void Machine::ChargeChunked(uint64_t addr, uint64_t len) {
+void Machine::ChargeChunked(uint64_t addr, const RegMeta& meta, uint64_t len) {
   // One cache access per touched 8-byte chunk plus a cycle per 16 bytes of
-  // work — the cost of a tuned memcpy loop.
+  // work — the cost of a tuned memcpy loop. A chunk is charged where Resolve
+  // sent its bytes: under SFI, a forged safe-region address lands masked in
+  // the regular region, as on the scalar path.
+  const bool sfi_masks = options_.isolation == IsolationKind::kSfi && !ProvesSafeStack(meta);
   for (uint64_t a = addr & ~7ULL; a < addr + len; a += 8) {
-    ChargeRegularAccess(a);
+    ChargeRegularAccess(sfi_masks && IsInSafeRegion(a) ? a & (kSafeRegionBase - 1) : a);
   }
   Cycles(len / 16 + 1);
 }
@@ -2052,8 +2059,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
         return false;
       }
     }
-    ChargeChunked(src, n);
-    ChargeChunked(dst, n);
+    ChargeChunked(src, sm, n);
+    ChargeChunked(dst, dm, n);
     return true;
   };
 
@@ -2063,7 +2070,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       if (!scan_strlen(value_of(0), meta_of(0), &len)) {
         return;
       }
-      ChargeChunked(value_of(0), len + 1);
+      ChargeChunked(value_of(0), meta_of(0), len + 1);
       ops.set(len, RegMeta::None());
       break;
     }
@@ -2088,8 +2095,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
           break;
         }
       }
-      ChargeChunked(a, i + 1);
-      ChargeChunked(b, i + 1);
+      ChargeChunked(a, ma, i + 1);
+      ChargeChunked(b, mb, i + 1);
       ops.set(static_cast<uint64_t>(r), RegMeta::None());
       break;
     }
@@ -2183,7 +2190,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
           return;
         }
       }
-      ChargeChunked(dst, n);
+      ChargeChunked(dst, meta_of(0), n);
       clear_entries(dst, n);
       ops.set(dst, meta_of(0));
       break;
@@ -2202,7 +2209,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
         }
       }
       input_byte_pos_ += n;
-      ChargeChunked(dst, n);
+      ChargeChunked(dst, meta_of(0), n);
       clear_entries(dst, n);
       ops.set(n, RegMeta::None());
       break;

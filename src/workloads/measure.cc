@@ -1,6 +1,5 @@
 #include "src/workloads/measure.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <tuple>
@@ -8,21 +7,8 @@
 #include "src/ir/clone.h"
 #include "src/support/check.h"
 #include "src/support/pool.h"
-#include "src/support/stats.h"
 
 namespace cpi::workloads {
-
-double Measurement::OverheadPct(core::Protection p) const {
-  const auto it = overhead_pct.find(p);
-  if (it == overhead_pct.end()) {
-    const auto st = status.find(p);
-    std::fprintf(stderr, "workload %s: no overhead for protection %s (status: %s)\n",
-                 workload.c_str(), core::ProtectionName(p),
-                 st == status.end() ? "not measured" : vm::RunStatusName(st->second));
-    CPI_CHECK(it != overhead_pct.end());
-  }
-  return it->second;
-}
 
 std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
     const std::vector<Workload>& workloads, int scale, int jobs) {
@@ -143,75 +129,12 @@ size_t UniqueCells(const std::vector<MeasureCell>& cells) {
   return n;
 }
 
-MeasurementCells AddMeasurementCells(std::vector<MeasureCell>& cells, size_t workload,
-                                     const std::vector<core::Protection>& protections,
-                                     const core::Config& base) {
-  MeasurementCells at;
-  at.workload = workload;
-  MeasureCell cell;
-  cell.workload = workload;
-  cell.config = base;
-  cell.config.protection = core::Protection::kNone;
-  at.vanilla = cells.size();
-  cells.push_back(cell);
-  for (core::Protection p : protections) {
-    cell.config.protection = p;
-    at.columns.emplace_back(p, cells.size());
-    cells.push_back(cell);
-  }
-  return at;
-}
-
-Measurement ReduceMeasurement(const Workload& workload, const MeasurementCells& at,
-                              const std::vector<CellResult>& results) {
-  const CellResult& vanilla = results[at.vanilla];
-  CPI_CHECK(vanilla.status == vm::RunStatus::kOk);
-  Measurement m;
-  m.workload = workload.name;
-  m.language = workload.language;
-  m.stats = vanilla.stats;
-  m.vanilla_cycles = vanilla.cycles;
-  m.vanilla_memory_bytes = vanilla.memory_bytes;
-  for (const auto& [p, i] : at.columns) {
-    const CellResult& r = results[i];
-    m.status[p] = r.status;
-    if (r.status != vm::RunStatus::kOk) {
-      continue;
-    }
-    m.overhead_pct[p] = OverheadPercent(static_cast<double>(r.cycles),
-                                        static_cast<double>(m.vanilla_cycles));
-    m.memory_bytes[p] = r.memory_bytes;
-  }
-  return m;
-}
-
-std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
-                                   core::Protection protection) {
-  std::vector<double> column;
-  for (const auto& m : measurements) {
-    column.push_back(m.OverheadPct(protection));
-  }
-  return column;
-}
-
 std::vector<core::Protection> OverheadProtections() {
   std::vector<core::Protection> out;
   for (const core::ProtectionScheme* s : core::SchemeRegistry::OverheadColumns()) {
     out.push_back(s->id());
   }
   return out;
-}
-
-std::vector<double> OverheadColumnForLanguage(const std::vector<Measurement>& measurements,
-                                              core::Protection protection,
-                                              const std::string& language) {
-  std::vector<double> column;
-  for (const auto& m : measurements) {
-    if (m.language == language) {
-      column.push_back(m.OverheadPct(protection));
-    }
-  }
-  return column;
 }
 
 }  // namespace cpi::workloads

@@ -1,6 +1,7 @@
 // Measurement harness behind the bench suite: runs workloads under
-// several protection configurations and reports relative overheads (in
-// simulated cycles) plus the static compilation statistics of Table 2.
+// several protection configurations and returns each run's simulated
+// cycles, memory footprint and safe-store counters plus the static
+// compilation statistics of Table 2; bench/suite reduces them to tables.
 //
 // The harness is organised around *cells*. A MeasureCell is one
 // (workload × configuration) execution: clone the workload's pre-built
@@ -21,10 +22,7 @@
 #ifndef CPI_SRC_WORKLOADS_MEASURE_H_
 #define CPI_SRC_WORKLOADS_MEASURE_H_
 
-#include <map>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/levee.h"
@@ -32,30 +30,6 @@
 #include "src/workloads/workloads.h"
 
 namespace cpi::workloads {
-
-struct Measurement {
-  std::string workload;
-  std::string language;
-  uint64_t vanilla_cycles = 0;
-  // protection -> overhead percent vs the vanilla run. Entries exist only
-  // for protections whose run completed (see `status`).
-  std::map<core::Protection, double> overhead_pct;
-  // protection -> total memory footprint in bytes (for §5.2 memory numbers).
-  std::map<core::Protection, uint64_t> memory_bytes;
-  // protection -> run status. SoftBound legitimately fails some workloads
-  // (unsafe pointer idioms produce false violations, like the paper
-  // reports); such columns are recorded here instead of aborting the sweep.
-  std::map<core::Protection, vm::RunStatus> status;
-  uint64_t vanilla_memory_bytes = 0;
-  // Static statistics (FNUStack / MOCPS / MOCPI).
-  analysis::ModuleStats stats;
-
-  // Overhead for `p`, CPI_CHECKed to have been measured and completed — for
-  // drivers whose columns must always succeed (Table 1 / Fig. 4 / Table 4).
-  // Drivers that tolerate failing columns (Table 3 / Fig. 5) consult
-  // `status` instead.
-  double OverheadPct(core::Protection p) const;
-};
 
 // One (workload × configuration) execution unit of the measurement layer.
 struct MeasureCell {
@@ -107,37 +81,8 @@ std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
 // How many cells of `cells` RunCells actually runs.
 size_t UniqueCells(const std::vector<MeasureCell>& cells);
 
-// Positions, in a RunCells cell list, of the cells behind one Measurement:
-// the workload's vanilla baseline and one cell per protection column.
-struct MeasurementCells {
-  size_t workload = 0;
-  size_t vanilla = 0;
-  std::vector<std::pair<core::Protection, size_t>> columns;
-};
-
-// Appends `workload`'s vanilla cell and one cell per protection, each under
-// `base` with only the protection changed, to `cells`.
-MeasurementCells AddMeasurementCells(std::vector<MeasureCell>& cells, size_t workload,
-                                     const std::vector<core::Protection>& protections,
-                                     const core::Config& base = {});
-
-// Reduces those cells' results (indexed like the RunCells cell list) to a
-// Measurement. The vanilla run must complete; failing columns are recorded
-// in `status` instead of aborting.
-Measurement ReduceMeasurement(const Workload& workload, const MeasurementCells& at,
-                              const std::vector<CellResult>& results);
-
-// Column of overhead values for one protection, in workload order.
-std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
-                                   core::Protection protection);
-
-// Same, restricted to one language ("C" / "C++").
-std::vector<double> OverheadColumnForLanguage(const std::vector<Measurement>& measurements,
-                                              core::Protection protection,
-                                              const std::string& language);
-
 // The registry schemes that report an overhead column (Table 1 / Fig. 4 /
-// Table 4 / §5.2 shape), as a protection list for AddMeasurementCells.
+// Table 4 / §5.2 shape), as a protection list.
 std::vector<core::Protection> OverheadProtections();
 
 }  // namespace cpi::workloads

@@ -1,9 +1,11 @@
 // Unit tests for the instrumentation passes: which instructions each pass
 // rewrites, the structural validity of the result, and pass bookkeeping
 // (protection flags, unsafe-frame marking, CFI target sets, cookie
-// heuristics).
+// heuristics). A scheme's passes run as its registry stages, through the
+// same pipeline runner the compiler uses.
 #include <gtest/gtest.h>
 
+#include "src/core/scheme.h"
 #include "src/instrument/passes.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
@@ -32,6 +34,12 @@ ir::Function* DefineUnary(ir::IRBuilder& b, const std::string& name, ir::Value**
   *x = b.Alloca(t.I64(), "x");
   b.Store(f->arg(0), *x);
   return f;
+}
+
+// Runs the registry scheme `p`'s stages over `m`; the result must verify.
+void Instrument(ir::Module& m, core::Protection p) {
+  core::RunStagePipeline(core::SchemeRegistry::Get(p).Stages(), m, PassOptions{});
+  EXPECT_TRUE(ir::IsValid(m));
 }
 
 int CountIntrinsics(const ir::Module& m, std::initializer_list<ir::IntrinsicId> ids) {
@@ -73,7 +81,7 @@ std::unique_ptr<ir::Module> BuildFnPtrProgram() {
 
 TEST(CpiPassTest, RewritesFunctionPointerOps) {
   auto m = BuildFnPtrProgram();
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   EXPECT_TRUE(m->protection().cpi);
   EXPECT_TRUE(m->protection().safe_stack);  // CPI includes the safe stack
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStore}), 1);  // handler = twice
@@ -84,7 +92,7 @@ TEST(CpiPassTest, RewritesFunctionPointerOps) {
 
 TEST(CpsPassTest, EmitsCpsIntrinsics) {
   auto m = BuildFnPtrProgram();
-  ApplyCps(*m);
+  Instrument(*m, core::Protection::kCps);
   EXPECT_TRUE(m->protection().cps);
   EXPECT_FALSE(m->protection().cpi);
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpsStore}), 1);
@@ -106,7 +114,7 @@ TEST(CpiPassTest, VanillaDataCodeUntouched) {
   b.Ret(b.Load(b.IndexAddr(a, b.I64(1))));
   ASSERT_TRUE(ir::IsValid(*m));
   const size_t before = m->InstructionCount();
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   // Only plain integer ops: nothing to instrument.
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStore, ir::IntrinsicId::kCpiLoad,
                                  ir::IntrinsicId::kCpiStoreUni, ir::IntrinsicId::kCpiLoadUni}),
@@ -129,7 +137,7 @@ TEST(CpiPassTest, UniversalPointersUseUniVariants) {
   b.Store(b.Bitcast(b.Load(b.GlobalAddr(box)), i64_ptr), back);
   b.Ret(b.Load(b.Load(back)));
   ASSERT_TRUE(ir::IsValid(*m));
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStoreUni}), 1);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kCpiLoadUni}), 1);
 }
@@ -182,7 +190,7 @@ TEST(SoftBoundPassTest, InstrumentsAllPointerTraffic) {
   b.Store(b.I64(7), b.IndexAddr(b.Load(q), b.I64(2)));
   b.Ret(b.Load(b.IndexAddr(b.Load(q), b.I64(2))));
   ASSERT_TRUE(ir::IsValid(*m));
-  ApplySoftBound(*m);
+  Instrument(*m, core::Protection::kSoftBound);
   EXPECT_TRUE(m->protection().softbound);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kSbStore}), 2);  // p and q slots
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kSbCheck}), 2);  // q[2] accesses
@@ -191,7 +199,7 @@ TEST(SoftBoundPassTest, InstrumentsAllPointerTraffic) {
 
 TEST(CfiPassTest, WrapsIndirectCallsAndComputesTargets) {
   auto m = BuildFnPtrProgram();
-  ApplyCfi(*m);
+  Instrument(*m, core::Protection::kCfi);
   EXPECT_TRUE(m->protection().cfi);
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCfiCheck}), 1);
   EXPECT_TRUE(m->FindFunction("twice")->address_taken());
@@ -219,7 +227,7 @@ TEST(CookiePassTest, OnlyBufferFunctionsGetCookies) {
   ir::Value* sum = b.Add(b.Call(no_buffer, {b.I64(0)}), b.Call(tiny_buffer, {}));
   b.Ret(b.Add(sum, b.Call(big_buffer, {})));
   ASSERT_TRUE(ir::IsValid(*m));
-  ApplyStackCookies(*m);
+  Instrument(*m, core::Protection::kStackCookies);
   EXPECT_TRUE(m->protection().stack_cookies);
   EXPECT_FALSE(m->FindFunction("no_buffer")->has_stack_cookie());
   EXPECT_FALSE(m->FindFunction("tiny_buffer")->has_stack_cookie());  // < 8 bytes
@@ -228,13 +236,13 @@ TEST(CookiePassTest, OnlyBufferFunctionsGetCookies) {
 
 TEST(PassCompositionTest, CpiAfterCpsIsRejected) {
   auto m = BuildFnPtrProgram();
-  ApplyCps(*m);
-  EXPECT_DEATH(ApplyCpi(*m), "CPI_CHECK");
+  Instrument(*m, core::Protection::kCps);
+  EXPECT_DEATH(Instrument(*m, core::Protection::kCpi), "CPI_CHECK");
 }
 
 TEST(PassTest, InstrumentedModulePrintsIntrinsics) {
   auto m = BuildFnPtrProgram();
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   const std::string text = ir::PrintModule(*m);
   EXPECT_NE(text.find("cpi_store"), std::string::npos);
   EXPECT_NE(text.find("cpi_assert_code"), std::string::npos);

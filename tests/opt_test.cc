@@ -10,6 +10,8 @@
 //      violation, output and exit code, while cycle/access counters only
 //      ever drop; and at O1 the two engines (and clone-vs-fresh builds, and
 //      serial-vs-parallel schedules) must stay bit-identical to each other.
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "src/attacks/ripe.h"
@@ -635,36 +637,38 @@ TEST(OptDifferentialTest, CloneMatchesFreshBuildAtO1) {
   }
 }
 
-// Schedule invariance at O1: the measurement harness reduces to identical
-// overhead tables at any --jobs value.
+// Schedule invariance at O1: every field of every cell the measurement
+// harness returns, and so every table reduced from them, is identical at any
+// --jobs value.
 TEST(OptDifferentialTest, SerialAndParallelHarnessAgreeAtO1) {
   std::vector<workloads::Workload> subset(workloads::SpecCpu2006().begin(),
                                           workloads::SpecCpu2006().begin() + 3);
-  Config base;
-  base.opt_level = 1;
-  const std::vector<Protection> protections = {Protection::kCpi, Protection::kPtrEnc};
+  std::vector<workloads::MeasureCell> cells;
+  for (size_t wi = 0; wi < subset.size(); ++wi) {
+    for (Protection p : {Protection::kNone, Protection::kCpi, Protection::kPtrEnc}) {
+      workloads::MeasureCell cell{wi, Config{}};
+      cell.config.protection = p;
+      cell.config.opt_level = 1;
+      cells.push_back(cell);
+    }
+  }
   const auto measure = [&](int jobs) {
     const auto built = workloads::BuildWorkloads(subset, 1, jobs);
-    std::vector<workloads::MeasureCell> cells;
-    std::vector<workloads::MeasurementCells> plan;
-    for (size_t wi = 0; wi < subset.size(); ++wi) {
-      plan.push_back(workloads::AddMeasurementCells(cells, wi, protections, base));
-    }
-    const auto results =
-        workloads::RunCells(subset, workloads::ModuleViews(built), cells, jobs);
-    std::vector<workloads::Measurement> ms;
-    for (const auto& at : plan) {
-      ms.push_back(workloads::ReduceMeasurement(subset[at.workload], at, results));
-    }
-    return ms;
+    return workloads::RunCells(subset, workloads::ModuleViews(built), cells, jobs);
+  };
+  const auto fields = [](const workloads::CellResult& r) {
+    return std::make_tuple(r.status, r.cycles, r.memory_bytes, r.safe_store_bytes,
+                           r.safe_store_ops, r.store_contended_ops, r.shard_migrations,
+                           r.stats.total_functions, r.stats.unsafe_frame_functions,
+                           r.stats.total_mem_ops, r.stats.instrumented_cpi,
+                           r.stats.instrumented_cps);
   };
   const auto serial = measure(1);
   const auto parallel = measure(2);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].vanilla_cycles, parallel[i].vanilla_cycles);
-    EXPECT_EQ(serial[i].overhead_pct, parallel[i].overhead_pct);
-    EXPECT_EQ(serial[i].memory_bytes, parallel[i].memory_bytes);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(parallel.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(fields(serial[i]), fields(parallel[i])) << "cell " << i;
   }
 }
 
